@@ -7,6 +7,10 @@ each word's intrinsic sign.  This module recovers the classical bound by
 brute force, produces enumeration certificates for the two standard
 contradiction scenarios, and verifies the assignment identity behind the
 bound in exact integer arithmetic.
+
+The signed word sums over a family half, sum_q s_q (-1)^popcount(m & z_q),
+are read from that half's Walsh-Hadamard spectrum: one O(n 2^n)
+transform per n and family, then one gather per assignment.
 """
 
 from __future__ import annotations
@@ -23,7 +27,16 @@ import numpy as np
 
 from .errors import VerificationError
 from .inequalities import multipartite_bound
-from .pauli import LambdaIndex, PauliString, commutes, lambda_element, pauli_mul, r_element, RIndex
+from .pauli import (
+    LambdaIndex,
+    PauliString,
+    RIndex,
+    commutes,
+    lambda_element,
+    pauli_mul,
+    r_element,
+    walsh_hadamard,
+)
 
 # 2^28 assignments; a Gray-order sweep stays in the one-minute range.
 ENUMERATION_CAP = 14
@@ -31,11 +44,10 @@ ENUMERATION_CAP = 14
 # Chunks below this size are not worth a separate process.
 _MIN_CHUNK = 1 << 14
 
-# Exhaustive product-rule cross-check up to 2^20 assignments.
-_CROSS_CHECK_EXHAUSTIVE_LIMIT = 10
+# Assignments per word-sum block of the bound cross-check; memory stays flat in n.
+_CROSS_CHECK_BLOCK = 1 << 20
 
 _SAMPLE_SEED = 104729
-_CROSS_CHECK_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -166,39 +178,31 @@ class BoundReport:
 
 
 @lru_cache(maxsize=None)
-def _word_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(z-masks, signs) of the non-diagonal family halves, per canonical phase."""
-    h = 1 << (n - 1)
-    z_even = np.empty(h, dtype=np.int64)
-    s_even = np.empty(h, dtype=np.int64)
-    z_odd = np.empty(h, dtype=np.int64)
-    s_odd = np.empty(h, dtype=np.int64)
-    for q in range(h):
-        word = lambda_element(LambdaIndex(n, h + q))
-        z_even[q] = word.z_mask
-        s_even[q] = {0: 1, 2: -1}[word.sign_exp]
-        skew = r_element(RIndex(n, h + q))
-        z_odd[q] = skew.z_mask
-        s_odd[q] = {1: 1, 3: -1}[skew.sign_exp]
-    return z_even, s_even, z_odd, s_odd
+def _spectrum(n: int, odd: bool) -> np.ndarray:
+    """Signed word sums of one non-diagonal family half for every n-bit
+    mask m, sum_q s_q (-1)^popcount(m & z_q): the Walsh-Hadamard
+    transform of the half's signed z-mask table.  Signs are the words'
+    canonical phases (i^1 and i^3 count +1 and -1 in the anti-Hermitian
+    odd half).  Read-only, since the cache shares it."""
+    half = 1 << (n - 1)
+    table = np.zeros(1 << n, dtype=np.int64)
+    for p in range(half, 2 * half):
+        if odd:
+            word, sign = r_element(RIndex(n, p)), {1: 1, 3: -1}
+        else:
+            word, sign = lambda_element(LambdaIndex(n, p)), {0: 1, 2: -1}
+        table[word.z_mask] += sign[word.sign_exp]
+    spectrum = walsh_hadamard(table)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
-def _assignment_arrays(n: int, ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    shifts = np.arange(n, dtype=np.int64)
-    vx = 1 - 2 * ((ints[:, None] >> shifts) & 1)
-    vy = 1 - 2 * ((ints[:, None] >> (n + shifts)) & 1)
-    return vx, vy
-
-
-def _parity_dot(masks: np.ndarray, z_masks: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """For each mask m: sum_q signs[q] * (-1)^popcount(m & z_masks[q])."""
-    out = np.empty(masks.shape[0], dtype=np.int64)
-    step = max(1, (1 << 22) // max(1, z_masks.shape[0]))
-    for lo in range(0, masks.shape[0], step):
-        block = np.bitwise_count(masks[lo : lo + step, None] & z_masks[None, :])
-        values = 1 - 2 * (block & np.uint8(1)).astype(np.int64)
-        out[lo : lo + step] = values @ signs
-    return out
+def _word_masks(n: int, ints: np.ndarray) -> np.ndarray:
+    """Bit j set where vx_j * vy_j = -1, i.e. where the two code halves differ."""
+    masks = ints >> n
+    masks ^= ints
+    masks &= (1 << n) - 1
+    return masks
 
 
 def halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
@@ -206,38 +210,34 @@ def halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
     value derived by the product rule from the non-diagonal half.
 
     f(O_p) = f(O_{p xor h}) * f(O_h) for p < h, so the all-x factor
-    enters squared and drops out.
+    enters squared and drops out, and the sum depends on the assignment
+    only through its word mask: one gather from the even spectrum.
     """
-    vx, vy = _assignment_arrays(n, ints)
-    z_even, s_even, _, _ = _word_tables(n)
-    neg_w = ((vx * vy) < 0).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-    return _parity_dot(neg_w, z_even, s_even)
+    ints = np.asarray(ints, dtype=np.int64)
+    if ints.size and (int(ints.min()) < 0 or int(ints.max()) >= 1 << (2 * n)):
+        raise ValueError(f"encoded assignments must lie in [0, 4^{n}) for n = {n}")
+    return _spectrum(n, False).take(_word_masks(n, ints))
 
 
-def _cross_check_bound(n: int, best_g: int, min_g: int, witness: Assignment) -> str:
-    """Recompute the extrema through the product-rule word sums."""
+def _cross_check_bound(n: int, best_g: int, min_g: int, witness: Assignment) -> None:
+    """Recompute the extrema through the product-rule word sums of every
+    assignment, one fixed-size block at a time."""
     witness_sum = int(halfgroup_sums(n, np.array([witness.to_bits()], dtype=np.int64))[0])
     if witness_sum != best_g:
         raise VerificationError(
             f"witness word-sum {witness_sum} differs from enumerated maximum {best_g}"
         )
-    if n <= _CROSS_CHECK_EXHAUSTIVE_LIMIT:
-        sums = halfgroup_sums(n, np.arange(1 << (2 * n), dtype=np.int64))
-        if int(sums.max()) != best_g or int(sums.min()) != min_g:
-            raise VerificationError(
-                f"word-sum extrema ({sums.min()}, {sums.max()}) differ from "
-                f"enumerated ({min_g}, {best_g})"
-            )
-        return "exhaustive"
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    ints = rng.integers(0, 1 << (2 * n), size=_CROSS_CHECK_SAMPLES, dtype=np.int64)
-    sums = halfgroup_sums(n, ints)
-    for value, encoded in zip(sums, ints):
-        if not min_g <= value <= best_g:
-            raise VerificationError(f"sampled word-sum {value} escapes the enumerated range")
-        if int(value) != g_value(Assignment.from_bits(n, int(encoded))):
-            raise VerificationError("sampled word-sum disagrees with the direct product")
-    return "witness+sample"
+    total = 1 << (2 * n)
+    high = low = witness_sum
+    for begin in range(0, total, _CROSS_CHECK_BLOCK):
+        end = min(begin + _CROSS_CHECK_BLOCK, total)
+        sums = halfgroup_sums(n, np.arange(begin, end, dtype=np.int64))
+        high = max(high, int(sums.max()))
+        low = min(low, int(sums.min()))
+    if high != best_g or low != min_g:
+        raise VerificationError(
+            f"word-sum extrema ({low}, {high}) differ from enumerated ({min_g}, {best_g})"
+        )
 
 
 def bruteforce_report(
@@ -281,7 +281,10 @@ def bruteforce_report(
         raise VerificationError(
             f"enumerated maximum {best_g} differs from the closed form {formula}"
         )
-    mode = _cross_check_bound(n, best_g, min_g, witness) if cross_check else "off"
+    mode = "off"
+    if cross_check:
+        _cross_check_bound(n, best_g, min_g, witness)
+        mode = "exhaustive"
     return BoundReport(
         n=n,
         bound_formula=formula,
@@ -468,7 +471,9 @@ def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
     equal the signed word sums over the non-diagonal family halves.
 
     Exhaustive when 2^{2n} fits the budget, otherwise a fixed-seed
-    uniform sample of that size.  All arithmetic is exact.
+    uniform sample of that size.  The products are multiplied out site
+    by site; the word sums are gathered from the two family spectra.
+    All arithmetic is exact.
     """
     if n < 2:
         raise ValueError("identity check needs n >= 2")
@@ -483,17 +488,17 @@ def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
         rng = np.random.default_rng(seed)
         ints = rng.integers(0, total, size=sample_budget, dtype=np.int64)
 
-    vx, vy = _assignment_arrays(n, ints)
     re = np.ones(ints.shape[0], dtype=np.int64)
     im = np.zeros(ints.shape[0], dtype=np.int64)
     for j in range(n):
-        re, im = re * vx[:, j] - im * vy[:, j], re * vy[:, j] + im * vx[:, j]
+        vx = 1 - 2 * ((ints >> j) & 1)
+        vy = 1 - 2 * ((ints >> (n + j)) & 1)
+        re, im = re * vx - im * vy, re * vy + im * vx
 
-    z_even, s_even, z_odd, s_odd = _word_tables(n)
-    p_sign = vx.prod(axis=1)
-    neg_w = ((vx * vy) < 0).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-    word_re = p_sign * _parity_dot(neg_w, z_even, s_even)
-    word_im = p_sign * _parity_dot(neg_w, z_odd, s_odd)
+    masks = _word_masks(n, ints)
+    p_sign = 1 - 2 * (np.bitwise_count(ints & ((1 << n) - 1)) & 1).astype(np.int64)
+    word_re = p_sign * _spectrum(n, False).take(masks)
+    word_im = p_sign * _spectrum(n, True).take(masks)
 
     bad = (re != word_re) | (im != word_im)
     failures = int(bad.sum())

@@ -13,7 +13,8 @@ which is why a word's displayed sign differs from ``phase_exp`` by the
 number of Y sites.
 
 All products and phases are computed in integer arithmetic; numpy enters
-only through the dense-matrix oracle ``PauliString.to_matrix``.
+through the dense-matrix oracle ``PauliString.to_matrix`` and the
+vectorized z-mask tables (``half_zmasks``, ``walsh_hadamard``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 import re
 
 import numpy as np
+
+from .errors import VerificationError
 
 # Dense limits: state-sized objects up to 2^10, operator-identity checks up
 # to 2^6 (every identity is also checked symbolically at any n).
@@ -203,14 +206,18 @@ def _element_from_bits(n: int, bits: list[int], closure: int) -> PauliString:
 def lambda_element(idx: LambdaIndex) -> PauliString:
     """Word for index p; z bits are the index bits plus an even-parity closer."""
     word = _element_from_bits(idx.n, idx.bits, idx.closure_bit)
-    assert word.is_hermitian
+    if not word.is_hermitian:
+        raise VerificationError(f"group element {word.to_text()} is not Hermitian")
     return word
 
 
 def r_element(idx: RIndex) -> PauliString:
     """Odd-closure companion word; anti-Hermitian in the upper index half."""
     word = _element_from_bits(idx.n, idx.bits, idx.closure_bit)
-    assert word.is_hermitian == (idx.p < (1 << (idx.n - 1)))
+    if word.is_hermitian != (idx.p < (1 << (idx.n - 1))):
+        raise VerificationError(
+            f"companion element {word.to_text()} at index {idx.p} has the wrong hermiticity"
+        )
     return word
 
 
@@ -219,7 +226,11 @@ def group_product(a: LambdaIndex, b: LambdaIndex) -> LambdaIndex:
     if a.n != b.n:
         raise ValueError(f"site counts differ: {a.n} != {b.n}")
     out = LambdaIndex(a.n, a.p ^ b.p)
-    assert pauli_mul(lambda_element(a), lambda_element(b)) == lambda_element(out)
+    product = pauli_mul(lambda_element(a), lambda_element(b))
+    if product != lambda_element(out):
+        raise VerificationError(
+            f"product {product.to_text()} of indices {a.p}, {b.p} is not element {out.p}"
+        )
     return out
 
 
@@ -241,6 +252,25 @@ def half_zmasks(n: int, odd: bool = False) -> np.ndarray:
         parity ^= 1
     z |= parity << (n - 1)
     return z
+
+
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Fast Walsh-Hadamard transform of a length-2^k vector, in O(k 2^k).
+
+    out[m] = sum_z values[z] * (-1)^popcount(m & z): with values[z] the
+    weight of the Z-string with mask z, out[m] is that weighted sum's
+    eigenvalue on basis state m.  Integer input stays exact.
+    """
+    out = np.array(values)
+    size = out.shape[0]
+    if out.ndim != 1 or size < 1 or size & (size - 1):
+        raise ValueError(f"length {size} is not a power of two")
+    half = 1
+    while half < size:
+        low, high = out.reshape(-1, 2, half).transpose(1, 0, 2)
+        out = np.stack((low + high, low - high), axis=1).reshape(-1)
+        half *= 2
+    return out
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .pauli import (
     PauliString,
     half_zmasks,
     lambda_element,
+    walsh_hadamard,
 )
 
 ATOL_SCALAR = 1e-10
@@ -245,8 +246,9 @@ def f_value(state: StateModel) -> float:
     """Sum of the 2^{n-1} lower-half expectations, F^psi.
 
     Analytic states sum their closed forms term by term (vectorized over
-    the index); dense states additionally cross-check against the rank-two
-    observable route.
+    the index).  Dense states read every term's diagonal sum from one
+    Walsh-Hadamard transform of the diagonal, and cross-check the total
+    against the rank-two observable route.
     """
     n = state.n
     if n < 1:
@@ -278,12 +280,7 @@ def f_value(state: StateModel) -> float:
 
     if isinstance(state, DenseState):
         diag = np.diag(state.rho).real
-        z, _ = _half_group_structure(n)
-        ks = np.arange(1 << n, dtype=np.uint64)
-        term_sum = 0.0
-        for zp in z:
-            signs = 1 - 2 * (np.bitwise_count(ks & np.uint64(zp)).astype(np.int64) & 1)
-            term_sum += float(diag @ signs)
+        term_sum = float(walsh_hadamard(diag)[half_zmasks(n)].sum())
         direct = (1 << (n - 1)) * float(diag[0] + diag[-1])
         if abs(term_sum - direct) > ATOL_SCALAR * max(1.0, abs(direct)):
             raise VerificationError(

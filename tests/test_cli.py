@@ -269,13 +269,14 @@ class TestUsage:
 
 
 class TestConsoleScript:
-    def test_installed_entry_point(self):
+    def test_installed_entry_point(self, kslab_env):
         result = subprocess.run(
             [sys.executable, "-m", "kslab.cli", "violate",
              "--state", "werner:lambda=0.5", "--kind", "two"],
             capture_output=True,
             text=True,
             timeout=60,
+            env=kslab_env,
         )
         assert result.returncode == 0, result.stderr
         payload = json.loads(result.stdout)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import oracle_matrix
+from oracle import oracle_matrix, parity_dot
 
 from kslab.hv_oracle import (
     ENUMERATION_CAP,
     Assignment,
     BoundReport,
+    _spectrum,
     bruteforce_bound,
     bruteforce_report,
     g_value,
@@ -21,10 +22,33 @@ from kslab.hv_oracle import (
     verify_hvkn,
 )
 from kslab.inequalities import multipartite_bound
+from kslab.pauli import LambdaIndex, RIndex, lambda_element, r_element
 
 
 def all_assignments(n: int):
     return (Assignment.from_bits(n, k) for k in range(1 << (2 * n)))
+
+
+def family_half(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(z-masks, real signs) of the upper index half of one family."""
+    half = 1 << (n - 1)
+    z_masks, signs = [], []
+    for p in range(half, 2 * half):
+        word = r_element(RIndex(n, p)) if odd else lambda_element(LambdaIndex(n, p))
+        z_masks.append(word.z_mask)
+        # the odd half is anti-Hermitian: sign i^1 counts +1, i^3 counts -1
+        signs.append({0: 1, 2: -1}[word.sign_exp - odd])
+    return np.array(z_masks, dtype=np.int64), np.array(signs, dtype=np.int64)
+
+
+def oracle_halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
+    """Brute-force parity sums over the even half, word masks built site by site."""
+    masks = np.zeros_like(ints)
+    for j in range(n):
+        vx = 1 - 2 * ((ints >> j) & 1)
+        vy = 1 - 2 * ((ints >> (n + j)) & 1)
+        masks |= (vx * vy < 0).astype(np.int64) << j
+    return parity_dot(masks, *family_half(n, odd=False))
 
 
 class TestAssignment:
@@ -126,6 +150,12 @@ class TestBruteforceBound:
         with pytest.raises(ValueError, match="2 <= n"):
             bruteforce_bound(5, cap=4)
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_cross_check_exhaustive_beyond_ten(self, n):
+        report = bruteforce_report(n)
+        assert report.cross_check == "exhaustive"
+        assert report.bound_bruteforce == int(multipartite_bound(n))
+
     def test_cross_check_can_be_skipped(self):
         assert bruteforce_report(4, cross_check=False).cross_check == "off"
 
@@ -154,6 +184,37 @@ class TestHalfgroupSums:
         sums = halfgroup_sums(n, ints)
         for value, bits in zip(sums, ints):
             assert int(value) == g_value(Assignment.from_bits(n, int(bits)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_parity_oracle_exhaustively(self, n):
+        ints = np.arange(1 << (2 * n), dtype=np.int64)
+        np.testing.assert_array_equal(halfgroup_sums(n, ints), oracle_halfgroup_sums(n, ints))
+
+    @pytest.mark.parametrize("n", range(11, 15))
+    def test_equals_parity_oracle_sampled(self, n):
+        rng = np.random.default_rng(1100 + n)
+        ints = rng.integers(0, 1 << (2 * n), size=4096, dtype=np.int64)
+        np.testing.assert_array_equal(halfgroup_sums(n, ints), oracle_halfgroup_sums(n, ints))
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 8])
+    def test_rejects_codes_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="encoded assignments"):
+            halfgroup_sums(4, np.array([0, bad], dtype=np.int64))
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_equals_parity_oracle_for_every_mask(self, n, odd):
+        masks = np.arange(1 << n, dtype=np.int64)
+        expected = parity_dot(masks, *family_half(n, odd))
+        spectrum = _spectrum(n, odd)
+        assert spectrum.dtype == np.int64
+        np.testing.assert_array_equal(spectrum, expected)
+
+    def test_cached_spectrum_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            _spectrum(3, False)[0] = 0
 
 
 class TestCertificates:

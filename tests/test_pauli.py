@@ -7,6 +7,10 @@ bookkeeping with the mask representation under test.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from kslab.pauli import (
     pauli_mul,
     r_element,
     verify_sum_identities,
+    walsh_hadamard,
 )
 
 
@@ -202,6 +207,68 @@ class TestGroupFamily:
             for p in range(1, 1 << n):
                 assert abs(np.trace(dense(lambda_element(LambdaIndex(n, p))))) < 1e-12
                 assert abs(np.trace(dense(r_element(RIndex(n, p))))) < 1e-12
+
+
+# Each group-family check is forced to fail under python -O, where a bare
+# assert would be stripped; the script prints one flag per check.
+_OPTIMIZED_CHECKS = textwrap.dedent(
+    """
+    import sys
+    from kslab import pauli
+    from kslab.errors import VerificationError
+
+    def raises(call):
+        try:
+            call()
+        except VerificationError:
+            return True
+        return False
+
+    build = pauli._element_from_bits
+    pauli._element_from_bits = lambda n, bits, closure: pauli.PauliString(n, 1, 1, 0)
+    flags = [
+        raises(lambda: pauli.lambda_element(pauli.LambdaIndex(2, 1))),
+        raises(lambda: pauli.r_element(pauli.RIndex(2, 0))),
+    ]
+    pauli._element_from_bits = build
+    pauli.pauli_mul = lambda a, b: pauli.PauliString.identity(a.n)
+    flags.append(raises(lambda: pauli.group_product(pauli.LambdaIndex(2, 1), pauli.LambdaIndex(2, 2))))
+    print(sys.flags.optimize, *flags)
+    """
+)
+
+
+def test_group_family_checks_survive_optimize(kslab_env):
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        capture_output=True, text=True, env=kslab_env, timeout=60, check=True,
+    )
+    assert result.stdout.split() == ["1", "True", "True", "True"]
+
+
+class TestWalshHadamard:
+    @pytest.mark.parametrize("k", range(7))
+    def test_matches_parity_definition(self, k):
+        rng = np.random.default_rng(k)
+        size = 1 << k
+        for values in (rng.integers(-5, 6, size), rng.standard_normal(size)):
+            expected = [
+                sum(v * (-1) ** (m & z).bit_count() for z, v in enumerate(values))
+                for m in range(size)
+            ]
+            out = walsh_hadamard(values)
+            assert out.dtype == values.dtype
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_does_not_modify_input(self):
+        values = np.arange(8, dtype=np.int64)
+        walsh_hadamard(values)
+        assert values.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("size", [0, 3, 6])
+    def test_rejects_non_power_of_two(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            walsh_hadamard(np.ones(size))
 
 
 class TestSumIdentities:

@@ -9,7 +9,14 @@ import pytest
 from oracle import LETTER, dense, oracle_matrix, random_word
 
 from kslab.errors import VerificationError
-from kslab.pauli import LambdaIndex, PauliString, RIndex, lambda_element, r_element
+from kslab.pauli import (
+    LambdaIndex,
+    PauliString,
+    RIndex,
+    half_zmasks,
+    lambda_element,
+    r_element,
+)
 from kslab.states import (
     DenseState,
     GhzSuperposition,
@@ -166,6 +173,19 @@ class TestFValue:
             assert f_value(DenseState(to_density_matrix(state))) == pytest.approx(
                 1 - lam, abs=1e-10
             )
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_dense_term_sum_matches_per_mask_loop(self, n):
+        rng = np.random.default_rng(60 + n)
+        probs = rng.random(1 << n)
+        state = DenseState(np.diag(probs / probs.sum()))
+        diag = np.diag(state.rho).real
+        ks = np.arange(1 << n, dtype=np.uint64)
+        term_sum = 0.0
+        for zp in half_zmasks(n):
+            signs = 1 - 2 * (np.bitwise_count(ks & np.uint64(zp)).astype(np.int64) & 1)
+            term_sum += float(diag @ signs)
+        assert abs(f_value(state) - term_sum) <= 1e-12 * max(1.0, abs(term_sum))
 
     def test_random_dense_states_match_observable_route(self):
         rng = np.random.default_rng(8)
