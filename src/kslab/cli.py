@@ -30,7 +30,13 @@ from .inequalities import (
     scan_to_json,
     two_partite_report,
 )
-from .pauli import LambdaIndex, lambda_element, pauli_mul, verify_sum_identities
+from .pauli import (
+    GROUP_LIMIT,
+    LambdaIndex,
+    lambda_element,
+    pauli_mul,
+    verify_sum_identities,
+)
 from .states import parse_state_spec
 
 EXIT_PASS = 0
@@ -55,6 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_group(args: argparse.Namespace) -> tuple[Payload, bool]:
     n = args.n
+    if n > GROUP_LIMIT:
+        raise ValueError(f"group tables limited to n <= {GROUP_LIMIT}")
     order = 1 << n
     elements = [lambda_element(LambdaIndex(n, p)) for p in range(order)]
     closure = True
@@ -209,14 +217,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, ok = _HANDLERS[args.command](args)
+        if payload is not None:
+            print(json.dumps(payload, indent=2, allow_nan=False))
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if payload is not None:
-        print(json.dumps(payload, indent=2))
     return EXIT_PASS if ok else EXIT_VERIFICATION
 
 

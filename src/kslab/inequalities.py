@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import VerificationError
-from .pauli import PauliString
+from .pauli import SITE_LIMIT, PauliString
 from .states import (
     GhzSuperposition,
     ProductState,
@@ -106,11 +106,9 @@ def two_partite_report(state: StateModel) -> InequalityReport:
 
 def multipartite_bound(n: int) -> float:
     """Classical maximum of the half-group sum: 2^{n/2} (even), 2^{(n-1)/2} (odd)."""
-    if n < 2:
-        raise ValueError("bound defined for n >= 2")
-    if n % 2 == 0:
-        return float(2 ** (n // 2))
-    return float(2 ** ((n - 1) // 2))
+    if not 2 <= n <= SITE_LIMIT:
+        raise ValueError(f"bound defined for 2 <= n <= {SITE_LIMIT}")
+    return float(2 ** (n // 2))
 
 
 def multipartite_report(state: StateModel) -> InequalityReport:
@@ -199,5 +197,7 @@ def scan_from_csv(text: str) -> list[tuple[str, InequalityReport]]:
 
 def scan_to_json(rows: list[tuple[str, InequalityReport]]) -> str:
     return json.dumps(
-        [{"state": label, **report.to_dict()} for label, report in rows], indent=2
+        [{"state": label, **report.to_dict()} for label, report in rows],
+        indent=2,
+        allow_nan=False,
     )

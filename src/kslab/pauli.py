@@ -30,6 +30,11 @@ from .errors import VerificationError
 # to 2^6 (every identity is also checked symbolically at any n).
 DENSE_STATE_LIMIT = 10
 DENSE_CHECK_LIMIT = 6
+# Largest n for which 2^n is a finite double: the ceiling for closed-form
+# F values and classical bounds.
+SITE_LIMIT = 1023
+# The group table checks closure over all 4^n products.
+GROUP_LIMIT = 10
 
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}

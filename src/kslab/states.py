@@ -6,33 +6,34 @@ alpha|+...+> + beta|-...->, and the two-qubit Werner family
 lambda*|pi><pi| + (1-lambda)/4 * I with |pi> = (|+-> + |-+>)/sqrt(2).
 |+> and |-> are the sigma_z eigenstates throughout.
 
-Every analytic fast path is validated exhaustively against the dense path
-at small n by the test suite before being trusted at larger n.
+The 2^{n-1} lower half-group words are exactly the even-weight Z-strings,
+so their expectations sum to F^psi = 2^{n-1}(rho_00 + rho_last,last) for
+every state.  The analytic families evaluate this in O(n):
+2^{n-1}(|alpha|^2 + |beta|^2) for the superposition,
+(prod(1 + r_z) + prod(1 - r_z))/2 for a product state and 1 - lambda for
+Werner.  The test suite checks each closed form against the term-by-term
+sum and every analytic expectation against the dense path.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from .errors import VerificationError
 from .pauli import (
-    DENSE_CHECK_LIMIT,
     DENSE_STATE_LIMIT,
-    LambdaIndex,
+    SITE_LIMIT,
     PauliString,
     half_zmasks,
-    lambda_element,
     walsh_hadamard,
 )
 
 ATOL_SCALAR = 1e-10
-
-# Summing the half-group term by term materializes 2^{n-1} masks once per n.
-F_VALUE_LIMIT = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +51,8 @@ class DenseState:
             raise ValueError(f"dimension {dim} is not a power of two")
         if dim > 1 << DENSE_STATE_LIMIT:
             raise ValueError(f"dense states limited to n <= {DENSE_STATE_LIMIT}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(rho - rho.conj().T)) > ATOL_SCALAR:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho) - 1) > ATOL_SCALAR:
@@ -76,6 +79,8 @@ class ProductState:
         for r in vecs:
             if len(r) != 3:
                 raise ValueError("each Bloch vector needs three components")
+            if not all(map(math.isfinite, r)):
+                raise ValueError(f"Bloch vector {r} has a non-finite component")
             if sum(c * c for c in r) > 1 + 1e-12:
                 raise ValueError(f"Bloch vector {r} has norm > 1")
         object.__setattr__(self, "bloch", vecs)
@@ -104,6 +109,8 @@ class GhzSuperposition:
         if self.n < 1:
             raise ValueError("need at least one site")
         alpha, beta = complex(self.alpha), complex(self.beta)
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise ValueError("amplitudes must be finite")
         if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-12:
             raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
         object.__setattr__(self, "alpha", alpha)
@@ -126,30 +133,6 @@ class WernerState:
 
 
 StateModel = Union[DenseState, ProductState, GhzSuperposition, WernerState]
-
-
-@dataclass(frozen=True)
-class HnObservable:
-    """The rank-two observable 2^{n-1}(|+...+><+...+| + |-...-><-...-|)."""
-
-    n: int
-
-    def matrix(self) -> np.ndarray:
-        if self.n > DENSE_STATE_LIMIT:
-            raise ValueError(f"dense form limited to n <= {DENSE_STATE_LIMIT}")
-        dim = 1 << self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        out[0, 0] = out[dim - 1, dim - 1] = 1 << (self.n - 1)
-        return out
-
-    def half_group_sum(self) -> np.ndarray:
-        """The same operator assembled word by word (dense-check sizes only)."""
-        if self.n > DENSE_CHECK_LIMIT:
-            raise ValueError(f"word-sum form limited to n <= {DENSE_CHECK_LIMIT}")
-        return sum(
-            lambda_element(LambdaIndex(self.n, p)).to_matrix()
-            for p in range(1 << (self.n - 1))
-        )
 
 
 def pi_vector() -> np.ndarray:
@@ -234,49 +217,29 @@ def expectation(state: StateModel, word: PauliString) -> complex:
     raise TypeError(f"not a state model: {type(state).__name__}")
 
 
-@lru_cache(maxsize=None)
-def _half_group_structure(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z-masks of the lower index half and their bit parities."""
-    z = half_zmasks(n)
-    parity = (np.bitwise_count(z.astype(np.uint64)).astype(np.int64) & 1).astype(bool)
-    return z, parity
-
-
 def f_value(state: StateModel) -> float:
     """Sum of the 2^{n-1} lower-half expectations, F^psi.
 
-    Analytic states sum their closed forms term by term (vectorized over
-    the index).  Dense states read every term's diagonal sum from one
-    Walsh-Hadamard transform of the diagonal, and cross-check the total
-    against the rank-two observable route.
+    The lower half-group words are the even-weight Z-strings, so
+    F^psi = 2^{n-1}(rho_00 + rho_last,last).  Analytic states evaluate
+    that closed form in O(n).  Dense states read every term's diagonal sum
+    from one Walsh-Hadamard transform of the diagonal, and cross-check the
+    total against the closed form.
     """
     n = state.n
-    if n < 1:
-        raise ValueError("need at least one site")
+    if not 1 <= n <= SITE_LIMIT:
+        raise ValueError(f"F^psi defined for 1 <= n <= {SITE_LIMIT}")
 
     if isinstance(state, GhzSuperposition):
-        if n > F_VALUE_LIMIT:
-            raise ValueError(f"term sum limited to n <= {F_VALUE_LIMIT}")
-        _, parity = _half_group_structure(n)
-        a2, b2 = abs(state.alpha) ** 2, abs(state.beta) ** 2
-        terms = a2 + np.where(parity, -b2, b2)
-        return float(terms.sum())
+        return 2.0 ** (n - 1) * (abs(state.alpha) ** 2 + abs(state.beta) ** 2)
 
     if isinstance(state, ProductState):
-        if n > F_VALUE_LIMIT:
-            raise ValueError(f"term sum limited to n <= {F_VALUE_LIMIT}")
-        z, _ = _half_group_structure(n)
-        terms = np.ones(len(z))
-        for j, (_, _, rz) in enumerate(state.bloch):
-            terms *= np.where(((z >> j) & 1).astype(bool), rz, 1.0)
-        return float(terms.sum())
+        up = math.prod(1 + rz for _, _, rz in state.bloch)
+        down = math.prod(1 - rz for _, _, rz in state.bloch)
+        return (up + down) / 2
 
     if isinstance(state, WernerState):
-        total = sum(
-            expectation(state, lambda_element(LambdaIndex(2, p))).real
-            for p in range(2)
-        )
-        return float(total)
+        return float(1 - state.lam)
 
     if isinstance(state, DenseState):
         diag = np.diag(state.rho).real

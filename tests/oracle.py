@@ -2,17 +2,30 @@
 
 Matrices are composed from rendered text (sign prefix, one letter per
 site, the true sigma_y), so none of the package's mask or phase
-bookkeeping is reused here.  Signed parity sums are summed term by term,
-the brute-force route that the Walsh-Hadamard spectra replace.
+bookkeeping is reused by ``oracle_matrix``.  Signed parity sums are summed
+term by term, the brute-force route that the Walsh-Hadamard spectra
+replace.  ``HnObservable`` is the rank-two observable behind F^psi, and
+``half_group_term_sum`` sums F^psi of an analytic state over its 2^{n-1}
+half-group terms, the route that the closed forms in ``kslab.states``
+replace.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from kslab.pauli import PauliString
+from kslab.pauli import (
+    DENSE_CHECK_LIMIT,
+    DENSE_STATE_LIMIT,
+    LambdaIndex,
+    PauliString,
+    half_zmasks,
+    lambda_element,
+)
+from kslab.states import GhzSuperposition, ProductState, WernerState, expectation
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,3 +65,56 @@ def parity_dot(masks: np.ndarray, z_masks: np.ndarray, signs: np.ndarray) -> np.
         values = 1 - 2 * (block & np.uint8(1)).astype(np.int64)
         out[lo : lo + step] = values @ signs
     return out
+
+
+@dataclass(frozen=True)
+class HnObservable:
+    """The rank-two observable 2^{n-1}(|+...+><+...+| + |-...-><-...-|)."""
+
+    n: int
+
+    def matrix(self) -> np.ndarray:
+        if self.n > DENSE_STATE_LIMIT:
+            raise ValueError(f"dense form limited to n <= {DENSE_STATE_LIMIT}")
+        dim = 1 << self.n
+        out = np.zeros((dim, dim), dtype=complex)
+        out[0, 0] = out[dim - 1, dim - 1] = 1 << (self.n - 1)
+        return out
+
+    def half_group_sum(self) -> np.ndarray:
+        """The same operator assembled word by word (dense-check sizes only)."""
+        if self.n > DENSE_CHECK_LIMIT:
+            raise ValueError(f"word-sum form limited to n <= {DENSE_CHECK_LIMIT}")
+        return sum(
+            lambda_element(LambdaIndex(self.n, p)).to_matrix()
+            for p in range(1 << (self.n - 1))
+        )
+
+
+def half_group_term_sum(state) -> float:
+    """F^psi of an analytic state, summed over the 2^{n-1} half-group terms.
+
+    Each lower-half word is the Z-string of one mask in ``half_zmasks(n)``;
+    its expectation is |alpha|^2 +/- |beta|^2 (sign by mask parity) for the
+    superposition and the product of r_z over the mask's sites for a
+    product state.  Werner sums its two words through ``expectation``.
+    """
+    n = state.n
+    if isinstance(state, WernerState):
+        return float(
+            sum(
+                expectation(state, lambda_element(LambdaIndex(2, p))).real
+                for p in range(2)
+            )
+        )
+    z = half_zmasks(n)
+    if isinstance(state, GhzSuperposition):
+        parity = (np.bitwise_count(z.astype(np.uint64)) & 1).astype(bool)
+        a2, b2 = abs(state.alpha) ** 2, abs(state.beta) ** 2
+        return float((a2 + np.where(parity, -b2, b2)).sum())
+    if isinstance(state, ProductState):
+        terms = np.ones(len(z))
+        for j, (_, _, rz) in enumerate(state.bloch):
+            terms *= np.where(((z >> j) & 1).astype(bool), rz, 1.0)
+        return float(terms.sum())
+    raise TypeError(f"no term sum for {type(state).__name__}")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracle import oracle_matrix
 
+import kslab.cli
 from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, main
 from kslab.experiment import required_words
 from kslab.inequalities import scan, scan_from_csv
@@ -59,11 +60,40 @@ class TestGroup:
         code, _, _ = run_cli(capsys, "group")
         assert code == EXIT_USAGE
 
+    def test_size_above_cap_builds_nothing(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("group table built above the cap")
+
+        monkeypatch.setattr(kslab.cli, "lambda_element", refuse)
+        code, out, err = run_cli(capsys, "group", "--n", "11")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error" in err
+
 
 class TestBound:
     def test_formula_only(self, capsys):
         payload = run_json(capsys, "bound", "--n", "5")
         assert payload == {"n": 5, "bound": 4.0}
+
+    def test_oversized_n_exits_without_traceback(self, kslab_env):
+        result = subprocess.run(
+            [sys.executable, "-m", "kslab.cli", "bound", "--n", "5000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=kslab_env,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "error" in result.stderr
+
+    def test_non_finite_payload_is_not_printed(self, capsys, monkeypatch):
+        monkeypatch.setattr(kslab.cli, "multipartite_bound", lambda n: float("nan"))
+        code, out, _ = run_cli(capsys, "bound", "--n", "4")
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_bruteforce_agrees(self, capsys):
         payload = run_json(capsys, "bound", "--n", "3", "--bruteforce")
@@ -138,6 +168,32 @@ class TestViolate:
             capsys, "violate", "--state", "werner:lambda=0.5", "--kind", "both"
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["ghz:n=3,alpha=nan,beta=1", "ghz:n=3,alpha=1,beta=infj", "werner:lambda=nan"],
+    )
+    def test_non_finite_spec_is_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "violate", "--state", spec)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_non_finite_dense_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.txt"
+        rows = [["0.25,0" if i == j else "0,0" for j in range(4)] for i in range(4)]
+        rows[0][1] = rows[1][0] = "nan,0"
+        path.write_text("2\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+        code, out, err = run_cli(capsys, "violate", "--state", f"dense:@{path}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+    def test_large_product_state(self, capsys):
+        n = 1023
+        payload = run_json(capsys, "violate", "--state", "product:" + "+" * n)
+        assert payload["lhs"] == 2.0 ** (n - 1)
+        assert payload["bound"] == 2.0 ** (n // 2)
 
 
 class TestScan:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracle import oracle_matrix
 
+from kslab.pauli import SITE_LIMIT
 from kslab.inequalities import (
     GUARD_BAND,
     InequalityReport,
@@ -136,6 +137,11 @@ class TestMultipartiteBound:
         with pytest.raises(ValueError):
             multipartite_bound(n)
 
+    def test_site_limit(self):
+        assert multipartite_bound(SITE_LIMIT) == 2.0 ** (SITE_LIMIT // 2)
+        with pytest.raises(ValueError):
+            multipartite_bound(SITE_LIMIT + 1)
+
 
 class TestMultipartiteReport:
     @pytest.mark.parametrize(
@@ -215,6 +221,14 @@ class TestScan:
             "state", "kind", "n", "lhs", "bound", "ratio", "violated", "sigma",
         }
         assert data[0]["sigma"] is None
+
+    def test_json_rejects_nan(self):
+        report = InequalityReport(
+            kind="multipartite", n=2, lhs=float("nan"), bound=2.0,
+            ratio=float("nan"), violated=False,
+        )
+        with pytest.raises(ValueError):
+            scan_to_json([("ghz", report)])
 
 
 class TestReportSerialization:

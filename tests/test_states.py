@@ -6,10 +6,18 @@ import itertools
 
 import numpy as np
 import pytest
-from oracle import LETTER, dense, oracle_matrix, random_word
+from oracle import (
+    LETTER,
+    HnObservable,
+    dense,
+    half_group_term_sum,
+    oracle_matrix,
+    random_word,
+)
 
 from kslab.errors import VerificationError
 from kslab.pauli import (
+    SITE_LIMIT,
     LambdaIndex,
     PauliString,
     RIndex,
@@ -20,7 +28,6 @@ from kslab.pauli import (
 from kslab.states import (
     DenseState,
     GhzSuperposition,
-    HnObservable,
     ProductState,
     WernerState,
     bell_fidelity,
@@ -187,6 +194,37 @@ class TestFValue:
             term_sum += float(diag @ signs)
         assert abs(f_value(state) - term_sum) <= 1e-12 * max(1.0, abs(term_sum))
 
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_closed_forms_match_term_sum(self, n):
+        rng = np.random.default_rng(100 + n)
+        states = [GhzSuperposition(n, *ghz_pair(rng)) for _ in range(3)]
+        for _ in range(3):
+            vecs = rng.standard_normal((n, 3))
+            vecs /= np.maximum(1.0, np.linalg.norm(vecs, axis=1))[:, None]
+            assert np.all(vecs[:, :2] != 0)
+            states.append(ProductState(tuple(map(tuple, vecs))))
+        for state in states:
+            ref = half_group_term_sum(state)
+            assert f_value(state) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3, 0.5, 2 / 3, 1.0])
+    def test_werner_closed_form_matches_term_sum(self, lam):
+        state = WernerState(lam)
+        assert f_value(state) == pytest.approx(half_group_term_sum(state), rel=1e-12, abs=0)
+
+    def test_finite_at_site_limit(self):
+        ghz = GhzSuperposition(SITE_LIMIT, 2**-0.5, 2**-0.5)
+        product = ProductState.from_pattern("+" * SITE_LIMIT)
+        assert f_value(ghz) == pytest.approx(2.0 ** (SITE_LIMIT - 1), rel=1e-15)
+        assert f_value(product) == 2.0 ** (SITE_LIMIT - 1)
+
+    def test_rejects_beyond_site_limit(self):
+        n = SITE_LIMIT + 1
+        with pytest.raises(ValueError):
+            f_value(GhzSuperposition(n, 2**-0.5, 2**-0.5))
+        with pytest.raises(ValueError):
+            f_value(ProductState.from_pattern("+" * n))
+
     def test_random_dense_states_match_observable_route(self):
         rng = np.random.default_rng(8)
         for n in (2, 3, 4):
@@ -265,6 +303,21 @@ class TestValidation:
             WernerState(-0.1)
         with pytest.raises(ValueError):
             WernerState(1.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError):
+            GhzSuperposition(3, bad, 1.0)
+        with pytest.raises(ValueError):
+            GhzSuperposition(3, 1.0, complex(0.0, bad))
+        with pytest.raises(ValueError):
+            ProductState(((0.0, 0.0, 1.0), (bad, 0.0, 0.0)))
+        with pytest.raises(ValueError):
+            WernerState(bad)
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(ValueError):
+            DenseState(rho)
 
 
 class TestStateSpecLanguage:
