@@ -9,8 +9,9 @@ applied to the measured value, and uncertainties propagate in quadrature.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import IO, Iterable
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import IO, Iterable, Iterator
 
 import math
 
@@ -19,7 +20,7 @@ from .inequalities import (
     decide_violation,
     multipartite_bound,
 )
-from .pauli import LambdaIndex, PauliString, lambda_element
+from .pauli import SITE_LIMIT, LambdaIndex, PauliString, lambda_element
 
 KINDS = ("two-partite", "multipartite")
 
@@ -31,6 +32,8 @@ class CorrelatorRecord:
     word: str
     value: float
     sigma: float = 0.0
+    letters: str = field(init=False, repr=False, compare=False)
+    sign: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         parsed = PauliString.from_text(self.word)
@@ -44,17 +47,14 @@ class CorrelatorRecord:
             raise ValueError(
                 f"value {self.value} for {self.word!r} exceeds |1| + 3*sigma"
             )
-
-    @property
-    def letters(self) -> str:
-        return PauliString.from_text(self.word).letters
+        object.__setattr__(self, "letters", parsed.letters)
+        object.__setattr__(self, "sign", {0: 1.0, 2: -1.0}[parsed.sign_exp])
 
     @property
     def letter_value(self) -> float:
         """Measured value referred to the plain letter word (a signed word
         like ``-YY`` reports the negated observable)."""
-        sign = {0: 1.0, 2: -1.0}[PauliString.from_text(self.word).sign_exp]
-        return sign * self.value
+        return self.sign * self.value
 
 
 def ingest_correlators(source: str | IO[str]) -> list[CorrelatorRecord]:
@@ -88,36 +88,61 @@ def ingest_correlators(source: str | IO[str]) -> list[CorrelatorRecord]:
     return records
 
 
-def required_words(kind: str, n: int) -> list[str]:
-    """Letter form of the correlators an inequality needs."""
+def _required(kind: str, n: int) -> tuple[int, Iterator[str]]:
+    """Number of correlators an inequality needs, and their letter forms
+    produced lazily in index order."""
     if kind == "two-partite":
         if n != 2:
             raise ValueError("two-partite inequality needs n = 2")
-        return ["XX", "YY", "ZZ"]
+        return 3, iter(["XX", "YY", "ZZ"])
     if kind == "multipartite":
-        if n < 2:
-            raise ValueError("multipartite inequality needs n >= 2")
-        return [
-            lambda_element(LambdaIndex(n, p)).letters for p in range(1 << (n - 1))
-        ]
+        if not 2 <= n <= SITE_LIMIT:
+            raise ValueError(f"multipartite inequality needs 2 <= n <= {SITE_LIMIT}")
+        count = 1 << (n - 1)
+        return count, (lambda_element(LambdaIndex(n, p)).letters for p in range(count))
     raise ValueError(f"unknown inequality kind {kind!r}; choose from {KINDS}")
+
+
+def required_words(kind: str, n: int) -> list[str]:
+    """Letter form of the correlators an inequality needs."""
+    return list(_required(kind, n)[1])
+
+
+# Words quoted in a missing- or unknown-correlator error.
+_NAMED_WORDS = 4
+
+
+def _first_words(words: list[str]) -> str:
+    rest = len(words) - _NAMED_WORDS
+    return f"{words[:_NAMED_WORDS]}" + (f" and {rest} more" if rest > 0 else "")
 
 
 def evaluate_experiment(
     records: Iterable[CorrelatorRecord], kind: str, n: int, k: float = 3.0
 ) -> InequalityReport:
-    """Signed sum of measured correlators against the classical bound."""
+    """Signed sum of measured correlators against the classical bound.
+
+    The record count is compared with the required count first, so a
+    short file never makes the 2^{n-1} required words be built.
+    """
     table = {record.letters: record for record in records}
-    required = required_words(kind, n)
+    count, words = _required(kind, n)
+    if len(table) < count:
+        missing = list(islice((w for w in words if w not in table), _NAMED_WORDS))
+        raise ValueError(
+            f"{kind} with n = {n} needs {count} correlators, got {len(table)}; "
+            f"missing correlators include {missing}"
+        )
+    required = list(words)
     missing = [w for w in required if w not in table]
     if missing:
         raise ValueError(
-            f"missing correlators {missing} for {kind}; required set is {required}"
+            f"{len(missing)} missing correlators {_first_words(missing)} for {kind}"
         )
     extra = sorted(set(table) - set(required))
     if extra:
         raise ValueError(
-            f"unknown correlators {extra} for {kind}; required set is {required}"
+            f"{len(extra)} unknown correlators {_first_words(extra)} for {kind}"
         )
 
     if kind == "two-partite":

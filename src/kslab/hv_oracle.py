@@ -4,7 +4,8 @@ An assignment gives each site a pair of signs (vx_j, vy_j), the
 pre-assigned outcomes of the two transverse single-site measurements.
 Compound-word values are always derived by the product rule, carrying
 each word's intrinsic sign.  This module recovers the classical bound by
-brute force, produces enumeration certificates for the two standard
+evaluating every assignment (a blocked numpy sweep over half-site
+tables), produces enumeration certificates for the two standard
 contradiction scenarios, and verifies the assignment identity behind the
 bound in exact integer arithmetic.
 
@@ -17,9 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,14 +37,12 @@ from .pauli import (
     walsh_hadamard,
 )
 
-# 2^28 assignments; a Gray-order sweep stays in the one-minute range.
+# 2^28 assignments; the blocked sweep with its cross-check stays well
+# inside one minute on one core.
 ENUMERATION_CAP = 14
 
-# Chunks below this size are not worth a separate process.
-_MIN_CHUNK = 1 << 14
-
-# Assignments per word-sum block of the bound cross-check; memory stays flat in n.
-_CROSS_CHECK_BLOCK = 1 << 20
+# Assignments per block of the bound sweep; memory stays flat in n.
+_BLOCK = 1 << 16
 
 _SAMPLE_SEED = 104729
 
@@ -93,62 +90,6 @@ def g_value(a: Assignment) -> int:
     for vx, vy in zip(a.vx, a.vy):
         re, im = re * vx - im * vy, re * vy + im * vx
     return re * math.prod(a.vx)
-
-
-def _scan_range(n: int, begin: int, end: int) -> tuple[int, int, int]:
-    """Gray-order sweep of assignment counters [begin, end); returns
-    (max g, counter attaining it first, min g).
-
-    Counter k encodes the assignment gray(k) = k ^ (k >> 1); consecutive
-    counters differ in one site value, so the Gaussian-integer product
-    only rotates by +/-i per step.
-    """
-    bits = begin ^ (begin >> 1)
-    vals = [1 - 2 * ((bits >> j) & 1) for j in range(2 * n)]
-    re, im = 1, 0
-    p_sign = 1
-    for j in range(n):
-        vx, vy = vals[j], vals[n + j]
-        re, im = re * vx - im * vy, re * vy + im * vx
-        if vx < 0:
-            p_sign = -p_sign
-    g = re * p_sign
-    best_g, best_counter, min_g = g, begin, g
-    for k in range(begin + 1, end):
-        t = (k & -k).bit_length() - 1
-        if t < n:
-            s = vals[t] * vals[n + t]
-            vals[t] = -vals[t]
-            p_sign = -p_sign
-        else:
-            s = -vals[t - n] * vals[t]
-            vals[t] = -vals[t]
-        if s > 0:
-            re, im = -im, re
-        else:
-            re, im = im, -re
-        g = re * p_sign
-        if g > best_g:
-            best_g, best_counter = g, k
-        elif g < min_g:
-            min_g = g
-    return best_g, best_counter, min_g
-
-
-def _resolve_workers(requested: int | None, total_steps: int) -> int:
-    workers = requested if requested is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    env = os.environ.get("KS_LAB_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"KS_LAB_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ValueError("KS_LAB_THREADS must be >= 1")
-        workers = min(workers, cap)
-    return max(1, min(workers, total_steps // _MIN_CHUNK or 1))
 
 
 @dataclass
@@ -219,25 +160,31 @@ def halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
     return _spectrum(n, False).take(_word_masks(n, ints))
 
 
-def _cross_check_bound(n: int, best_g: int, min_g: int, witness: Assignment) -> None:
-    """Recompute the extrema through the product-rule word sums of every
-    assignment, one fixed-size block at a time."""
-    witness_sum = int(halfgroup_sums(n, np.array([witness.to_bits()], dtype=np.int64))[0])
-    if witness_sum != best_g:
-        raise VerificationError(
-            f"witness word-sum {witness_sum} differs from enumerated maximum {best_g}"
-        )
-    total = 1 << (2 * n)
-    high = low = witness_sum
-    for begin in range(0, total, _CROSS_CHECK_BLOCK):
-        end = min(begin + _CROSS_CHECK_BLOCK, total)
-        sums = halfgroup_sums(n, np.arange(begin, end, dtype=np.int64))
-        high = max(high, int(sums.max()))
-        low = min(low, int(sums.min()))
-    if high != best_g or low != min_g:
-        raise VerificationError(
-            f"word-sum extrema ({low}, {high}) differ from enumerated ({min_g}, {best_g})"
-        )
+def _site_products(k: int, ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of prod_j (vx_j + i*vy_j) over k sites for
+    each code (vx in the low k bits, vy in the next k), multiplied out
+    site by site."""
+    re = np.ones(ints.shape[0], dtype=np.int64)
+    im = np.zeros(ints.shape[0], dtype=np.int64)
+    for j in range(k):
+        vx = 1 - 2 * ((ints >> j) & 1)
+        vy = 1 - 2 * ((ints >> (k + j)) & 1)
+        re, im = re * vx - im * vy, re * vy + im * vx
+    return re, im
+
+
+def _x_signs(k: int, ints: np.ndarray) -> np.ndarray:
+    """prod_j vx_j over k sites for each code."""
+    return 1 - 2 * (np.bitwise_count(ints & ((1 << k) - 1)) & 1).astype(np.int64)
+
+
+def _half_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of prod_j (vx_j + i*vy_j), each times prod_j vx_j, for
+    every one of the 4^k codes of k sites."""
+    ints = np.arange(1 << (2 * k), dtype=np.int64)
+    re, im = _site_products(k, ints)
+    x_sign = _x_signs(k, ints)
+    return re * x_sign, im * x_sign
 
 
 def bruteforce_report(
@@ -246,34 +193,54 @@ def bruteforce_report(
     cross_check: bool = True,
     cap: int = ENUMERATION_CAP,
 ) -> BoundReport:
-    """Sweep all 2^{2n} assignments and reduce to the maximum of g_value.
+    """Evaluate g_value on all 4^n encoded assignments and reduce to its
+    extrema, in blocks of consecutive codes on one process.
 
-    The counter space is split into contiguous ranges, one per worker;
-    each range reduces locally and the partial results merge, keeping the
-    earliest witness on ties.
+    Each block combines two half-site tables: with the sites split into
+    a low and a high half, g = aL*aH - bL*bH, where (a, b) are a half's
+    (Re, Im) of prod (vx + i*vy) times its prod vx (meet in the middle).
+    The cross-check compares every block elementwise with the
+    product-rule word sums of ``halfgroup_sums``.  The witness is the
+    smallest code attaining the maximum.  ``workers`` is validated and
+    otherwise ignored; ``elapsed`` covers the enumeration and its
+    cross-check.
     """
     if not 2 <= n <= cap:
         raise ValueError(f"enumeration needs 2 <= n <= {cap}, got {n}")
-    total = 1 << (2 * n)
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
     started = time.perf_counter()
-    worker_count = _resolve_workers(workers, total)
-    if worker_count == 1:
-        parts = [_scan_range(n, 0, total)]
-    else:
-        edges = [total * k // worker_count for k in range(worker_count + 1)]
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            parts = list(
-                pool.map(_scan_range, itertools.repeat(n), edges[:-1], edges[1:])
-            )
-    best_g, best_counter, min_g = parts[0]
-    for g, counter, low in parts[1:]:
-        if g > best_g or (g == best_g and counter < best_counter):
-            best_g, best_counter = g, counter
-        if low < min_g:
-            min_g = low
+    low_sites = n // 2
+    high_sites = n - low_sites
+    a_low, b_low = _half_table(low_sites)
+    a_high, b_high = _half_table(high_sites)
+    low_mask = (1 << low_sites) - 1
+    high_mask = (1 << high_sites) - 1
+
+    total = 1 << (2 * n)
+    # |g| <= 2^(n/2), so the first block replaces both starting extrema
+    best_g, best_code, min_g = -(1 << n), 0, 1 << n
+    for begin in range(0, total, _BLOCK):
+        codes = np.arange(begin, min(begin + _BLOCK, total), dtype=np.int64)
+        vy = codes >> n
+        low = (codes & low_mask) | ((vy & low_mask) << low_sites)
+        high = ((codes >> low_sites) & high_mask) | ((vy >> low_sites) << high_sites)
+        g = a_low[low] * a_high[high] - b_low[low] * b_high[high]
+        if cross_check:
+            sums = halfgroup_sums(n, codes)
+            if not np.array_equal(g, sums):
+                code = int(codes[int(np.argmax(g != sums))])
+                raise VerificationError(
+                    f"word sums differ from the site products first at "
+                    f"{Assignment.from_bits(n, code)}"
+                )
+        top = int(np.argmax(g))
+        if g[top] > best_g:
+            best_g, best_code = int(g[top]), begin + top
+        min_g = min(min_g, int(g.min()))
     elapsed = time.perf_counter() - started
 
-    witness = Assignment.from_bits(n, best_counter ^ (best_counter >> 1))
+    witness = Assignment.from_bits(n, best_code)
     if g_value(witness) != best_g:
         raise VerificationError("witness does not attain the enumerated maximum")
     formula = multipartite_bound(n)
@@ -281,10 +248,6 @@ def bruteforce_report(
         raise VerificationError(
             f"enumerated maximum {best_g} differs from the closed form {formula}"
         )
-    mode = "off"
-    if cross_check:
-        _cross_check_bound(n, best_g, min_g, witness)
-        mode = "exhaustive"
     return BoundReport(
         n=n,
         bound_formula=formula,
@@ -292,8 +255,8 @@ def bruteforce_report(
         witness=witness,
         g_min=min_g,
         elapsed=elapsed,
-        workers=worker_count,
-        cross_check=mode,
+        workers=1,
+        cross_check="exhaustive" if cross_check else "off",
     )
 
 
@@ -488,15 +451,9 @@ def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
         rng = np.random.default_rng(seed)
         ints = rng.integers(0, total, size=sample_budget, dtype=np.int64)
 
-    re = np.ones(ints.shape[0], dtype=np.int64)
-    im = np.zeros(ints.shape[0], dtype=np.int64)
-    for j in range(n):
-        vx = 1 - 2 * ((ints >> j) & 1)
-        vy = 1 - 2 * ((ints >> (n + j)) & 1)
-        re, im = re * vx - im * vy, re * vy + im * vx
-
+    re, im = _site_products(n, ints)
     masks = _word_masks(n, ints)
-    p_sign = 1 - 2 * (np.bitwise_count(ints & ((1 << n) - 1)) & 1).astype(np.int64)
+    p_sign = _x_signs(n, ints)
     word_re = p_sign * _spectrum(n, False).take(masks)
     word_im = p_sign * _spectrum(n, True).take(masks)
 

@@ -321,6 +321,8 @@ def read_dense_state(path: str) -> DenseState:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"{path}: first line must be the site count") from None
+    if not 1 <= n <= DENSE_STATE_LIMIT:
+        raise ValueError(f"{path}: site count {n} outside 1..{DENSE_STATE_LIMIT}")
     dim = 1 << n
     if len(lines) != dim + 1:
         raise ValueError(f"{path}: expected {dim} matrix rows, found {len(lines) - 1}")

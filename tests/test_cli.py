@@ -189,6 +189,17 @@ class TestViolate:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("header", ["100000", "-3", "0", "11"])
+    def test_dense_header_out_of_range_is_usage_error(self, capsys, tmp_path, header):
+        path = tmp_path / "state.txt"
+        path.write_text(header + "\n0.5,0 0,0\n0,0 0.5,0\n")
+        code, out, err = run_cli(capsys, "violate", "--state", f"dense:@{path}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"site count {header} outside 1..10" in err
+        assert len(err.splitlines()) == 1
+
     def test_large_product_state(self, capsys):
         n = 1023
         payload = run_json(capsys, "violate", "--state", "product:" + "+" * n)
@@ -253,6 +264,15 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--file", path, "--kind", "two")
         assert code == EXIT_USAGE
         assert "missing" in err
+
+    def test_short_file_with_long_word_is_brief(self, capsys, tmp_path):
+        path = self.write(tmp_path, "word,value,sigma\n" + "Z" * 40 + ",0.5,0.01\n")
+        code, out, err = run_cli(capsys, "check", "--file", path, "--kind", "multi")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.encode()) < 1024
+        assert "missing" in err
+        assert len(err.splitlines()) == 1
 
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         path = self.write(tmp_path, "word,value\nXX,0.5\n")

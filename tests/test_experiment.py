@@ -7,12 +7,14 @@ import math
 
 import pytest
 
+import kslab.experiment
 from kslab.experiment import (
     CorrelatorRecord,
     evaluate_experiment,
     ingest_correlators,
     required_words,
 )
+from kslab.pauli import PauliString
 
 
 def csv_of(rows: list[str]) -> io.StringIO:
@@ -32,6 +34,24 @@ class TestCorrelatorRecord:
         record = CorrelatorRecord("-YY", 0.5)
         assert record.letters == "YY"
         assert record.letter_value == -0.5
+
+    def test_word_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = PauliString.from_text.__func__
+
+        def counting(cls, text):
+            calls.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(PauliString, "from_text", classmethod(counting))
+        record = CorrelatorRecord("-ZZ", 0.25)
+        assert (record.letters, record.letter_value) == ("ZZ", -0.25)
+        assert (record.letters, record.letter_value) == ("ZZ", -0.25)
+        assert calls == ["-ZZ"]
+
+    def test_parsed_fields_stay_out_of_equality(self):
+        assert CorrelatorRecord("ZZ", 0.5) == CorrelatorRecord("ZZ", 0.5)
+        assert "letters" not in repr(CorrelatorRecord("ZZ", 0.5))
 
     def test_rejects_non_observable_word(self):
         with pytest.raises(ValueError, match="observable"):
@@ -213,6 +233,42 @@ class TestEvaluateMultipartite:
         records = ingest_correlators(csv_of(rows))
         with pytest.raises(ValueError, match="ZZI"):
             evaluate_experiment(records, "multipartite", 3)
+
+    def test_short_file_never_builds_the_word_list(self, monkeypatch):
+        built = []
+        build = kslab.experiment.lambda_element
+
+        def counting(index):
+            built.append(index.p)
+            return build(index)
+
+        monkeypatch.setattr(kslab.experiment, "lambda_element", counting)
+        records = ingest_correlators(csv_of(["Z" * 30 + ",0.5,0"]))
+        with pytest.raises(ValueError, match="needs 536870912 correlators, got 1") as info:
+            evaluate_experiment(records, "multipartite", 30)
+        assert len(str(info.value)) < 300
+        assert "I" * 30 in str(info.value)
+        assert built == [0, 1, 2, 3]  # only the words quoted in the error
+
+    def test_many_missing_words_are_counted_not_listed(self):
+        # as many rows as required, but half of them are the wrong words
+        good = required_words("multipartite", 5)[:8]
+        bad = [w.replace("Z", "X") for w in required_words("multipartite", 5)[1:9]]
+        records = ingest_correlators(csv_of([f"{w},0,0" for w in good + bad]))
+        with pytest.raises(ValueError, match="8 missing correlators .* and 4 more") as info:
+            evaluate_experiment(records, "multipartite", 5)
+        assert str(info.value).count("'") == 8  # four words quoted
+
+    def test_many_unknown_words_are_counted(self):
+        words = required_words("multipartite", 3)
+        extra = ["XXX", "XYY", "YXY", "YYX", "XIX", "IXX"]
+        records = ingest_correlators(csv_of([f"{w},0,0" for w in words + extra]))
+        with pytest.raises(ValueError, match="6 unknown correlators .* and 2 more"):
+            evaluate_experiment(records, "multipartite", 3)
+
+    def test_site_count_is_capped(self):
+        with pytest.raises(ValueError, match="n <= 1023"):
+            required_words("multipartite", 1024)
 
     def test_wrong_length_words_are_unknown(self):
         records = ingest_correlators(csv_of(["II,1,0", "ZZ,1,0"]))

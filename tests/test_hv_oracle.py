@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import oracle_matrix, parity_dot
+from oracle import oracle_matrix, parity_dot, scan_range
 
+import kslab.hv_oracle
+from kslab.errors import VerificationError
 from kslab.hv_oracle import (
     ENUMERATION_CAP,
     Assignment,
@@ -124,23 +126,48 @@ class TestBruteforceBound:
     def test_two_workers_agree_with_one(self):
         lone = bruteforce_report(8, workers=1)
         split = bruteforce_report(8, workers=2)
-        assert split.workers == 2
+        assert split.workers == 1
         assert split.bound_bruteforce == lone.bound_bruteforce
         assert split.g_min == lone.g_min
-        assert split.witness == lone.witness  # earliest counter wins ties
+        assert split.witness == lone.witness  # smallest code wins ties
 
     def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("KS_LAB_THREADS", "1")
-        assert bruteforce_report(8, workers=4).workers == 1
-
-    @pytest.mark.parametrize("bad", ["zero?", "0", "-2"])
-    def test_bad_thread_cap_rejected(self, bad, monkeypatch):
-        monkeypatch.setenv("KS_LAB_THREADS", bad)
-        with pytest.raises(ValueError, match="KS_LAB_THREADS"):
-            bruteforce_report(8, workers=2)
+        # the sweep runs on one process; a leftover KS_LAB_THREADS, even
+        # one the pool used to reject, changes nothing
+        for value in ("1", "zero?"):
+            monkeypatch.setenv("KS_LAB_THREADS", value)
+            assert bruteforce_report(8, workers=4).workers == 1
 
     def test_small_ranges_collapse_to_one_worker(self):
         assert bruteforce_report(4, workers=6).workers == 1
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_bad_worker_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="workers"):
+            bruteforce_report(4, workers=bad)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_gray_scan(self, n):
+        best_g, counter, min_g = scan_range(n, 0, 1 << (2 * n))
+        report = bruteforce_report(n)
+        assert report.bound_bruteforce == best_g
+        assert report.g_min == min_g
+        assert report.witness == Assignment.from_bits(n, counter ^ (counter >> 1))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_witness_is_smallest_maximizing_code(self, n):
+        values = [g_value(a) for a in all_assignments(n)]
+        report = bruteforce_report(n, cross_check=False)
+        assert report.witness.to_bits() == values.index(max(values))
+
+    def test_elementwise_cross_check_catches_one_bad_word_sum(self, monkeypatch):
+        spectrum = np.array(_spectrum(4, False))
+        spectrum[5] += 2
+        monkeypatch.setattr(kslab.hv_oracle, "_spectrum", lambda n, odd: spectrum)
+        # the smallest code with word mask 0b0101 flips vx on sites 0 and 2
+        with pytest.raises(VerificationError, match=r"vx=\(-1, 1, -1, 1\), vy=\(1, 1, 1, 1\)"):
+            bruteforce_report(4)
+        assert bruteforce_report(4, cross_check=False).cross_check == "off"
 
     def test_cap_is_enforced(self):
         with pytest.raises(ValueError, match="2 <= n"):
@@ -165,7 +192,7 @@ class TestBruteforceBound:
         assert data["bound_formula"] == 2.0
         assert data["bound_bruteforce"] == 2
         assert set(data["witness_assignment"]) == {"vx", "vy"}
-        assert data["workers"] >= 1
+        assert data["workers"] == 1
         assert data["elapsed"] >= 0.0
 
 
