@@ -175,7 +175,10 @@ def build_parser() -> _Parser:
         help="also enumerate every assignment and compare",
     )
     bound.add_argument(
-        "--workers", type=int, default=None, help="parallel workers for the sweep"
+        "--workers",
+        type=int,
+        default=None,
+        help="accepted for compatibility: must be >= 1, otherwise ignored",
     )
 
     violate = sub.add_parser("violate", help="evaluate an inequality on a state")

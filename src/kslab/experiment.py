@@ -8,7 +8,6 @@ applied to the measured value, and uncertainties propagate in quadrature.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, Iterable, Iterator
@@ -17,6 +16,7 @@ import math
 
 from .inequalities import (
     InequalityReport,
+    csv_records,
     decide_violation,
     multipartite_bound,
 )
@@ -62,16 +62,16 @@ def ingest_correlators(source: str | IO[str]) -> list[CorrelatorRecord]:
     if isinstance(source, str):
         with open(source, encoding="utf-8", newline="") as fh:
             return ingest_correlators(fh)
-    reader = csv.reader(source)
+    rows = csv_records(source)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise ValueError("line 1: empty correlator file") from None
     if [h.strip().lower() for h in header] != ["word", "value", "sigma"]:
         raise ValueError(f"line 1: expected header word,value,sigma, got {header!r}")
     records: list[CorrelatorRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:
@@ -152,20 +152,15 @@ def evaluate_experiment(
             + table["YY"].letter_value
             - table["ZZ"].letter_value
         )
-        variance = sum(table[w].sigma ** 2 for w in ("XX", "YY", "ZZ"))
         bound = 2.0
     else:
+        # lower-half words are Z-strings, all with sign +1
         lhs = 0.0
-        variance = 0.0
-        for p in range(1 << (n - 1)):
-            word = lambda_element(LambdaIndex(n, p))
-            sign = {0: 1.0, 2: -1.0}[word.sign_exp]
-            record = table[word.letters]
-            lhs += sign * record.letter_value
-            variance += record.sigma**2
+        for word in required:
+            lhs += table[word].letter_value
         bound = multipartite_bound(n)
 
-    sigma = math.sqrt(variance)
+    sigma = math.hypot(*(table[word].sigma for word in required))
     return InequalityReport(
         kind=kind,
         n=n,

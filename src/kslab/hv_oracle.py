@@ -26,16 +26,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .inequalities import multipartite_bound
-from .pauli import (
-    LambdaIndex,
-    PauliString,
-    RIndex,
-    commutes,
-    lambda_element,
-    pauli_mul,
-    r_element,
-    walsh_hadamard,
-)
+from .pauli import PauliString, commutes, half_zmasks, pauli_mul, walsh_hadamard
 
 # 2^28 assignments; the blocked sweep with its cross-check stays well
 # inside one minute on one core.
@@ -122,17 +113,13 @@ class BoundReport:
 def _spectrum(n: int, odd: bool) -> np.ndarray:
     """Signed word sums of one non-diagonal family half for every n-bit
     mask m, sum_q s_q (-1)^popcount(m & z_q): the Walsh-Hadamard
-    transform of the half's signed z-mask table.  Signs are the words'
-    canonical phases (i^1 and i^3 count +1 and -1 in the anti-Hermitian
-    odd half).  Read-only, since the cache shares it."""
-    half = 1 << (n - 1)
+    transform of the half's signed z-mask table.  An upper-half word has
+    the full X mask and phase 0, so its sign i^popcount(z) counts as
+    (-1)^(popcount(z) >> 1) in both families (i^1 and i^3 give +1 and -1
+    in the anti-Hermitian odd half).  Read-only, since the cache shares it."""
+    z = half_zmasks(n, odd)
     table = np.zeros(1 << n, dtype=np.int64)
-    for p in range(half, 2 * half):
-        if odd:
-            word, sign = r_element(RIndex(n, p)), {1: 1, 3: -1}
-        else:
-            word, sign = lambda_element(LambdaIndex(n, p)), {0: 1, 2: -1}
-        table[word.z_mask] += sign[word.sign_exp]
+    table[z] = 1 - 2 * ((np.bitwise_count(z).astype(np.int64) >> 1) & 1)
     spectrum = walsh_hadamard(table)
     spectrum.flags.writeable = False
     return spectrum

@@ -12,6 +12,11 @@ carrying both bits is the letter Y up to a phase, sigma_z sigma_x = i sigma_y,
 which is why a word's displayed sign differs from ``phase_exp`` by the
 number of Y sites.
 
+The sign-group words and their odd-closure companions are indexed by
+``LambdaIndex(n, p, odd)``.  One rule, ``index_zmask``, maps an index to
+its z-mask, for a single word (``lambda_element``) and for whole tables
+(``half_zmasks``); the leading index bit selects the all-X part.
+
 All products and phases are computed in integer arithmetic; numpy enters
 through the dense-matrix oracle ``PauliString.to_matrix`` and the
 vectorized z-mask tables (``half_zmasks``, ``walsh_hadamard``).
@@ -152,76 +157,50 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return anti % 2 == 0
 
 
-def _index_bits(n: int, p: int) -> list[int]:
-    """Bits b_0..b_{n-1} of p, most significant first."""
-    return [(p >> (n - 1 - j)) & 1 for j in range(n)]
+def index_zmask(n: int, p: int | np.ndarray, odd: bool = False) -> int | np.ndarray:
+    """Z-mask of the word with index p: the one rule for every word table.
+
+    The low n-1 bits of p, read most significant first, set sites 0..n-2;
+    site n-1 closes the mask to even weight (odd with ``odd=True``).  p is
+    a Python int or an int64 array; the leading index bit does not enter.
+    """
+    z = p & 0  # zero of p's type, so n = 1 still gives an array
+    parity = z | int(odd)
+    for j in range(n - 1):
+        bit = (p >> (n - 2 - j)) & 1
+        z = z | (bit << j)
+        parity = parity ^ bit
+    return z | (parity << (n - 1))
 
 
 @dataclass(frozen=True)
 class LambdaIndex:
-    """Index p of a group element; the trailing site bit has even closure."""
+    """Index p of a group element, or with ``odd=True`` of its odd-closure
+    companion.  The leading index bit selects the all-X part."""
 
     n: int
     p: int
+    odd: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1 or not 0 <= self.p < (1 << self.n):
             raise ValueError(f"index {self.p} out of range for n={self.n}")
 
-    @property
-    def bits(self) -> list[int]:
-        return _index_bits(self.n, self.p)
 
-    @property
-    def closure_bit(self) -> int:
-        return sum(self.bits[1:]) % 2
-
-
-@dataclass(frozen=True)
-class RIndex:
-    """Index p of an odd-closure companion element."""
-
-    n: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or not 0 <= self.p < (1 << self.n):
-            raise ValueError(f"index {self.p} out of range for n={self.n}")
-
-    @property
-    def bits(self) -> list[int]:
-        return _index_bits(self.n, self.p)
-
-    @property
-    def closure_bit(self) -> int:
-        return (sum(self.bits[1:]) + 1) % 2
-
-
-def _element_from_bits(n: int, bits: list[int], closure: int) -> PauliString:
-    z = 0
-    for j in range(1, n):
-        if bits[j]:
-            z |= 1 << (j - 1)
-    if closure:
-        z |= 1 << (n - 1)
-    x = full_mask(n) if bits[0] else 0
-    return PauliString(n, z, x, 0)
+def _element(n: int, p: int, odd: bool) -> PauliString:
+    x = full_mask(n) if p >> (n - 1) else 0
+    return PauliString(n, index_zmask(n, p, odd), x, 0)
 
 
 def lambda_element(idx: LambdaIndex) -> PauliString:
-    """Word for index p; z bits are the index bits plus an even-parity closer."""
-    word = _element_from_bits(idx.n, idx.bits, idx.closure_bit)
-    if not word.is_hermitian:
-        raise VerificationError(f"group element {word.to_text()} is not Hermitian")
-    return word
-
-
-def r_element(idx: RIndex) -> PauliString:
-    """Odd-closure companion word; anti-Hermitian in the upper index half."""
-    word = _element_from_bits(idx.n, idx.bits, idx.closure_bit)
-    if word.is_hermitian != (idx.p < (1 << (idx.n - 1))):
+    """Word for index p.  Every word is Hermitian except the odd-closure
+    companions in the upper index half, which are anti-Hermitian."""
+    word = _element(idx.n, idx.p, idx.odd)
+    anti = idx.odd and idx.p >= 1 << (idx.n - 1)
+    if word.is_hermitian == anti:
         raise VerificationError(
-            f"companion element {word.to_text()} at index {idx.p} has the wrong hermiticity"
+            f"element {word.to_text()} at index {idx.p} (odd={idx.odd}) "
+            f"should {'not ' if anti else ''}be Hermitian"
         )
     return word
 
@@ -230,6 +209,8 @@ def group_product(a: LambdaIndex, b: LambdaIndex) -> LambdaIndex:
     """Group law: indices combine by XOR, with no phase left over."""
     if a.n != b.n:
         raise ValueError(f"site counts differ: {a.n} != {b.n}")
+    if a.odd or b.odd:
+        raise ValueError("the group law covers the even family only")
     out = LambdaIndex(a.n, a.p ^ b.p)
     product = pauli_mul(lambda_element(a), lambda_element(b))
     if product != lambda_element(out):
@@ -240,23 +221,11 @@ def group_product(a: LambdaIndex, b: LambdaIndex) -> LambdaIndex:
 
 
 def half_zmasks(n: int, odd: bool = False) -> np.ndarray:
-    """Z-masks of the lower index half, vectorized over p = 0 .. 2^{n-1}-1.
-
-    With ``odd=True`` the closure bit is complemented, giving the
-    odd-parity companion family.  The upper index half reuses the same
-    z-masks (the leading index bit only toggles the X part).
+    """Z-masks of the lower index half, p = 0 .. 2^{n-1}-1, of the even
+    family or (``odd=True``) of the odd-closure companions.  The upper
+    index half reuses the same z-masks.
     """
-    ps = np.arange(1 << (n - 1), dtype=np.int64)
-    z = np.zeros_like(ps)
-    parity = np.zeros_like(ps)
-    for j in range(1, n):
-        bit = (ps >> (n - 1 - j)) & 1
-        z |= bit << (j - 1)
-        parity ^= bit
-    if odd:
-        parity ^= 1
-    z |= parity << (n - 1)
-    return z
+    return index_zmask(n, np.arange(1 << (n - 1), dtype=np.int64), odd)
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -344,10 +313,10 @@ def verify_sum_identities(n: int, mode: str = "auto") -> IdentityReport:
         raise ValueError(f"unknown mode {mode!r}")
     half = 1 << (n - 1)
     cases = [
-        ("z-even", False, False, [lambda_element(LambdaIndex(n, p)) for p in range(half)]),
-        ("z-odd", False, True, [r_element(RIndex(n, p)) for p in range(half)]),
-        ("x-even", True, False, [lambda_element(LambdaIndex(n, p)) for p in range(half, 2 * half)]),
-        ("x-odd", True, True, [r_element(RIndex(n, p)) for p in range(half, 2 * half)]),
+        ("z-even", False, False),
+        ("z-odd", False, True),
+        ("x-even", True, False),
+        ("x-odd", True, True),
     ]
 
     report = IdentityReport(n=n, mode=mode, ok=True)
@@ -356,7 +325,9 @@ def verify_sum_identities(n: int, mode: str = "auto") -> IdentityReport:
     if mode == "dense" and n > DENSE_CHECK_LIMIT:
         raise ValueError(f"dense mode limited to n <= {DENSE_CHECK_LIMIT}")
 
-    for label, x_part, odd, words in cases:
+    for label, x_part, odd in cases:
+        start = half if x_part else 0
+        words = [lambda_element(LambdaIndex(n, p, odd)) for p in range(start, start + half)]
         if do_symbolic:
             lhs = _projector_expansion(n, x_part, odd)
             rhs = _family_expansion(words)

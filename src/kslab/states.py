@@ -111,7 +111,8 @@ class GhzSuperposition:
         alpha, beta = complex(self.alpha), complex(self.beta)
         if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
             raise ValueError("amplitudes must be finite")
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-12:
+        # a magnitude above 2 fails the norm anyway, and squaring it may overflow
+        if max(abs(alpha), abs(beta)) > 2 or abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-12:
             raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

@@ -274,6 +274,36 @@ class TestCheck:
         assert "missing" in err
         assert len(err.splitlines()) == 1
 
+    def test_oversized_field_exits_without_traceback(self, tmp_path, kslab_env):
+        word = '"' + "Z" * 200_000 + '"'
+        path = self.write(tmp_path, f"word,value,sigma\n{word},0.5,0.01\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "kslab.cli", "check", "--file", path, "--kind", "multi"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=kslab_env,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: line 2: field larger than field limit")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            ("two", "XX,0.5,1e200\nYY,0.5,0\nZZ,-0.5,0\n"),
+            ("multi", "II,1,0\nZZ,0.5,1e200\n"),
+        ],
+        ids=["two", "multi"],
+    )
+    def test_huge_sigma_is_carried_through(self, capsys, tmp_path, kind, rows):
+        path = self.write(tmp_path, "word,value,sigma\n" + rows)
+        payload = run_json(capsys, "check", "--file", path, "--kind", kind)
+        assert payload["sigma"] == 1e200
+        assert payload["violated"] is False
+
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         path = self.write(tmp_path, "word,value\nXX,0.5\n")
         code, _, _ = run_cli(capsys, "check", "--file", path, "--kind", "two")

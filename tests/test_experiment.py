@@ -115,6 +115,18 @@ class TestIngestion:
         with pytest.raises(ValueError, match="line 4"):
             ingest_correlators(csv_of(["XX,0.5,0", "YY,0.5,0", "QQ,0.5,0"]))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('"' + "w" * 200_000 + '",value,sigma\nZZ,0.25,0\n', "line 1"),
+            ('word,value,sigma\nXX,0.5,0\n"' + "Z" * 200_000 + '",0.5,0\n', "line 3"),
+        ],
+        ids=["header", "row"],
+    )
+    def test_oversized_field_error_carries_line_number(self, text, line):
+        with pytest.raises(ValueError, match=f"{line}: field larger than field limit"):
+            ingest_correlators(io.StringIO(text))
+
     def test_duplicate_word_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ingest_correlators(csv_of(["XX,0.5,0", "XX,0.6,0"]))

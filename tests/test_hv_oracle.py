@@ -24,7 +24,7 @@ from kslab.hv_oracle import (
     verify_hvkn,
 )
 from kslab.inequalities import multipartite_bound
-from kslab.pauli import LambdaIndex, RIndex, lambda_element, r_element
+from kslab.pauli import LambdaIndex, lambda_element
 
 
 def all_assignments(n: int):
@@ -36,7 +36,7 @@ def family_half(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
     half = 1 << (n - 1)
     z_masks, signs = [], []
     for p in range(half, 2 * half):
-        word = r_element(RIndex(n, p)) if odd else lambda_element(LambdaIndex(n, p))
+        word = lambda_element(LambdaIndex(n, p, odd))
         z_masks.append(word.z_mask)
         # the odd half is anti-Hermitian: sign i^1 counts +1, i^3 counts -1
         signs.append({0: 1, 2: -1}[word.sign_exp - odd])

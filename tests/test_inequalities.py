@@ -212,6 +212,8 @@ class TestScan:
         bad_bool = first.replace("false", "maybe")
         with pytest.raises(ValueError, match="boolean"):
             scan_from_csv(header + "\n" + bad_bool + "\n")
+        with pytest.raises(ValueError, match="line 2: field larger than field limit"):
+            scan_from_csv(header + '\n"' + "x" * 200_000 + '"\n')
 
     def test_json_shape(self):
         data = json.loads(scan_to_json(scan(2, 3)))

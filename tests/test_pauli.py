@@ -21,13 +21,11 @@ from kslab.pauli import (
     DENSE_CHECK_LIMIT,
     LambdaIndex,
     PauliString,
-    RIndex,
     commutes,
     group_product,
     half_zmasks,
     lambda_element,
     pauli_mul,
-    r_element,
     verify_sum_identities,
     walsh_hadamard,
 )
@@ -157,7 +155,7 @@ class TestGroupFamily:
         ]
 
     def test_r_table_two_sites(self):
-        words = [r_element(RIndex(2, p)).to_text() for p in range(4)]
+        words = [lambda_element(LambdaIndex(2, p, True)).to_text() for p in range(4)]
         assert words == ["+IZ", "+ZI", "+iXY", "+iYX"]
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -178,6 +176,10 @@ class TestGroupFamily:
                 out = group_product(LambdaIndex(n, p), LambdaIndex(n, q))
                 assert out.p == p ^ q
 
+    def test_group_law_rejects_odd_indices(self):
+        with pytest.raises(ValueError, match="even family"):
+            group_product(LambdaIndex(2, 1, True), LambdaIndex(2, 2))
+
     def test_group_law_matches_dense_two_sites(self):
         mats = [dense(lambda_element(LambdaIndex(2, p))) for p in range(4)]
         for p in range(4):
@@ -193,20 +195,20 @@ class TestGroupFamily:
     def test_closure_parities(self, n):
         for p in range(1 << n):
             assert lambda_element(LambdaIndex(n, p)).z_mask.bit_count() % 2 == 0
-            assert r_element(RIndex(n, p)).z_mask.bit_count() % 2 == 1
+            assert lambda_element(LambdaIndex(n, p, True)).z_mask.bit_count() % 2 == 1
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_r_hermiticity_split(self, n):
         half = 1 << (n - 1)
         for p in range(1 << n):
-            word = r_element(RIndex(n, p))
+            word = lambda_element(LambdaIndex(n, p, True))
             assert word.is_hermitian == (p < half)
 
     def test_nonidentity_words_are_traceless(self):
         for n in (2, 3, 4):
             for p in range(1, 1 << n):
                 assert abs(np.trace(dense(lambda_element(LambdaIndex(n, p))))) < 1e-12
-                assert abs(np.trace(dense(r_element(RIndex(n, p))))) < 1e-12
+                assert abs(np.trace(dense(lambda_element(LambdaIndex(n, p, True))))) < 1e-12
 
 
 # Each group-family check is forced to fail under python -O, where a bare
@@ -224,13 +226,13 @@ _OPTIMIZED_CHECKS = textwrap.dedent(
             return True
         return False
 
-    build = pauli._element_from_bits
-    pauli._element_from_bits = lambda n, bits, closure: pauli.PauliString(n, 1, 1, 0)
+    build = pauli._element
+    pauli._element = lambda n, p, odd: pauli.PauliString(n, 1, 1, 0)
     flags = [
         raises(lambda: pauli.lambda_element(pauli.LambdaIndex(2, 1))),
-        raises(lambda: pauli.r_element(pauli.RIndex(2, 0))),
+        raises(lambda: pauli.lambda_element(pauli.LambdaIndex(2, 0, True))),
     ]
-    pauli._element_from_bits = build
+    pauli._element = build
     pauli.pauli_mul = lambda a, b: pauli.PauliString.identity(a.n)
     flags.append(raises(lambda: pauli.group_product(pauli.LambdaIndex(2, 1), pauli.LambdaIndex(2, 2))))
     print(sys.flags.optimize, *flags)
@@ -304,8 +306,8 @@ def test_half_zmasks_match_elements(n):
     for p in range(half):
         assert int(even[p]) == lambda_element(LambdaIndex(n, p)).z_mask
         assert int(even[p]) == lambda_element(LambdaIndex(n, p + half)).z_mask
-        assert int(odd[p]) == r_element(RIndex(n, p)).z_mask
-        assert int(odd[p]) == r_element(RIndex(n, p + half)).z_mask
+        assert int(odd[p]) == lambda_element(LambdaIndex(n, p, True)).z_mask
+        assert int(odd[p]) == lambda_element(LambdaIndex(n, p + half, True)).z_mask
 
 
 def test_constructor_validation():

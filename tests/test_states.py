@@ -20,10 +20,8 @@ from kslab.pauli import (
     SITE_LIMIT,
     LambdaIndex,
     PauliString,
-    RIndex,
     half_zmasks,
     lambda_element,
-    r_element,
 )
 from kslab.states import (
     DenseState,
@@ -71,7 +69,7 @@ class TestAnalyticVsDense:
             for p in range(1 << n):
                 for word in (
                     lambda_element(LambdaIndex(n, p)),
-                    r_element(RIndex(n, p)),
+                    lambda_element(LambdaIndex(n, p, True)),
                 ):
                     fast = expectation(state, word)
                     slow = oracle_expectation(state, word)
@@ -84,7 +82,7 @@ class TestAnalyticVsDense:
         vecs /= np.maximum(1.0, np.linalg.norm(vecs, axis=1))[:, None]
         state = ProductState(tuple(map(tuple, vecs)))
         for p in range(1 << n):
-            for word in (lambda_element(LambdaIndex(n, p)), r_element(RIndex(n, p))):
+            for word in (lambda_element(LambdaIndex(n, p)), lambda_element(LambdaIndex(n, p, True))):
                 assert abs(expectation(state, word) - oracle_expectation(state, word)) < 1e-10
 
     def test_random_words_all_models(self):
@@ -303,6 +301,12 @@ class TestValidation:
             WernerState(-0.1)
         with pytest.raises(ValueError):
             WernerState(1.1)
+
+    def test_rejects_huge_amplitudes_without_overflow(self):
+        with pytest.raises(ValueError, match="alpha"):
+            GhzSuperposition(3, 1e200, 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            GhzSuperposition(3, 1.0, 1e200j)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_values(self, bad):
