@@ -47,7 +47,8 @@ class CorrelatorRecord:
             raise ValueError(
                 f"value {self.value} for {self.word!r} exceeds |1| + 3*sigma"
             )
-        object.__setattr__(self, "letters", parsed.letters)
+        # the text after the sign prefix, equal to parsed.letters
+        object.__setattr__(self, "letters", self.word.strip().lstrip("+-i"))
         object.__setattr__(self, "sign", {0: 1.0, 2: -1.0}[parsed.sign_exp])
 
     @property
@@ -108,6 +109,12 @@ def required_words(kind: str, n: int) -> list[str]:
     return list(_required(kind, n)[1])
 
 
+def _is_half_word(word: str, n: int) -> bool:
+    """True for the lower half-group words: I/Z strings of length n with
+    an even number of Zs."""
+    return len(word) == n and not word.strip("IZ") and word.count("Z") % 2 == 0
+
+
 # Words quoted in a missing- or unknown-correlator error.
 _NAMED_WORDS = 4
 
@@ -123,7 +130,12 @@ def evaluate_experiment(
     """Signed sum of measured correlators against the classical bound.
 
     The record count is compared with the required count first, so a
-    short file never makes the 2^{n-1} required words be built.
+    short file never makes the 2^{n-1} required words be built.  A
+    multipartite table of the right size is accepted by inspecting its
+    keys: the required words are exactly the even-weight I/Z strings of
+    length n.  The required word list is built only to name the missing
+    and unknown words of a table that fails.  The multipartite lhs is a
+    correctly rounded ``math.fsum``, so it does not depend on row order.
     """
     table = {record.letters: record for record in records}
     count, words = _required(kind, n)
@@ -133,17 +145,23 @@ def evaluate_experiment(
             f"{kind} with n = {n} needs {count} correlators, got {len(table)}; "
             f"missing correlators include {missing}"
         )
-    required = list(words)
-    missing = [w for w in required if w not in table]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} missing correlators {_first_words(missing)} for {kind}"
-        )
-    extra = sorted(set(table) - set(required))
-    if extra:
-        raise ValueError(
-            f"{len(extra)} unknown correlators {_first_words(extra)} for {kind}"
-        )
+    if kind == "multipartite" and len(table) == count and all(
+        _is_half_word(word, n) for word in table
+    ):
+        # index order, as I < Z: hypot then sums the sigmas in a fixed order
+        required = sorted(table)
+    else:
+        required = list(words)
+        missing = [w for w in required if w not in table]
+        if missing:
+            raise ValueError(
+                f"{len(missing)} missing correlators {_first_words(missing)} for {kind}"
+            )
+        extra = sorted(set(table) - set(required))
+        if extra:
+            raise ValueError(
+                f"{len(extra)} unknown correlators {_first_words(extra)} for {kind}"
+            )
 
     if kind == "two-partite":
         lhs = (
@@ -155,9 +173,7 @@ def evaluate_experiment(
         bound = 2.0
     else:
         # lower-half words are Z-strings, all with sign +1
-        lhs = 0.0
-        for word in required:
-            lhs += table[word].letter_value
+        lhs = math.fsum(table[word].letter_value for word in required)
         bound = multipartite_bound(n)
 
     sigma = math.hypot(*(table[word].sigma for word in required))

@@ -44,6 +44,8 @@ GROUP_LIMIT = 10
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _WORD_RE = re.compile(r"^([+-]?i?)([IXYZ]+)$")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_X_BITS = str.maketrans("IXYZ", "0110")
 
 # Single-site factors in the (z, x) encoding; (1, 1) is sigma_z sigma_x.
 _SITE_MATRIX = {
@@ -87,12 +89,9 @@ class PauliString:
         if match is None:
             raise ValueError(f"not a Pauli word: {text!r}")
         prefix, letters = match.groups()
-        z = x = 0
-        for j, letter in enumerate(letters):
-            if letter in "ZY":
-                z |= 1 << j
-            if letter in "XY":
-                x |= 1 << j
+        # site 0 is bit 0, so the binary numeral reads the letters backwards
+        z = int(letters[::-1].translate(_Z_BITS), 2)
+        x = int(letters[::-1].translate(_X_BITS), 2)
         overlap = (z & x).bit_count()
         phase = (_PREFIX_EXP[prefix] - overlap) % 4
         return cls(len(letters), z, x, phase)

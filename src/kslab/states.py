@@ -36,9 +36,28 @@ from .pauli import (
 ATOL_SCALAR = 1e-10
 
 
+# Rows per band of the Hermitian check: 64 rows of a 2^10 matrix are 1 MB.
+_HERMITIAN_BAND = 64
+
+
+def _hermitian_defect(rho: np.ndarray) -> float:
+    """max |rho - rho^H|, one band of rows at a time, so no full-size
+    temporary is built."""
+    defect = 0.0
+    for s in range(0, rho.shape[0], _HERMITIAN_BAND):
+        band = slice(s, s + _HERMITIAN_BAND)
+        defect = max(defect, float(np.abs(rho[band] - rho[:, band].conj().T).max()))
+    return defect
+
+
 @dataclass(frozen=True, eq=False)
 class DenseState:
-    """Explicit density matrix on n <= 10 sites."""
+    """Explicit density matrix on n <= 10 sites.
+
+    The finiteness, Hermitian (checked in bands of rows), trace and
+    positivity checks run in that order; the first to fail raises
+    ``ValueError``.
+    """
 
     rho: np.ndarray
 
@@ -51,14 +70,17 @@ class DenseState:
             raise ValueError(f"dimension {dim} is not a power of two")
         if dim > 1 << DENSE_STATE_LIMIT:
             raise ValueError(f"dense states limited to n <= {DENSE_STATE_LIMIT}")
-        if not np.isfinite(rho).all():
-            raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > ATOL_SCALAR:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho) - 1) > ATOL_SCALAR:
-            raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(rho).min() < -ATOL_SCALAR:
-            raise ValueError("density matrix is not positive semidefinite")
+        # Huge finite entries overflow to inf in these checks, which then
+        # fail them; numpy's overflow warnings would only add noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(rho).all():
+                raise ValueError("density matrix entries must be finite")
+            if _hermitian_defect(rho) > ATOL_SCALAR:
+                raise ValueError("density matrix is not Hermitian")
+            if abs(np.trace(rho) - 1) > ATOL_SCALAR:
+                raise ValueError("density matrix trace is not 1")
+            if np.linalg.eigvalsh(rho).min() < -ATOL_SCALAR:
+                raise ValueError("density matrix is not positive semidefinite")
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -312,35 +334,65 @@ def parse_state_spec(spec: str) -> StateModel:
 
 def read_dense_state(path: str) -> DenseState:
     """Load the documented text format: first line n, then 2^n rows of
-    2^n whitespace-separated "re,im" pairs."""
+    2^n whitespace-separated "re,im" pairs; blank lines are skipped.
+
+    The file is read one row at a time into a preallocated buffer, so no
+    more than one row of text is held.  Each row is checked as it is read:
+    a malformed row is reported by row (and entry) before the row count
+    is compared, and rows past the 2^n-th are counted but not parsed.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
-    lines = [line for line in lines if line]
-    if not lines:
-        raise ValueError(f"{path}: empty state file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the site count") from None
-    if not 1 <= n <= DENSE_STATE_LIMIT:
-        raise ValueError(f"{path}: site count {n} outside 1..{DENSE_STATE_LIMIT}")
-    dim = 1 << n
-    if len(lines) != dim + 1:
-        raise ValueError(f"{path}: expected {dim} matrix rows, found {len(lines) - 1}")
-    rows = np.zeros((dim, dim), dtype=complex)
-    for i, line in enumerate(lines[1:]):
-        pairs = line.split()
-        if len(pairs) != dim:
-            raise ValueError(f"{path}: row {i} has {len(pairs)} entries, expected {dim}")
-        for j, pair in enumerate(pairs):
-            re_part, sep, im_part = pair.partition(",")
-            if not sep:
-                raise ValueError(f"{path}: row {i} entry {j} is not a re,im pair")
-            try:
-                rows[i, j] = complex(float(re_part), float(im_part))
-            except ValueError:
-                raise ValueError(f"{path}: row {i} entry {j} is not numeric") from None
-    return DenseState(rows)
+        lines = filter(None, map(str.strip, fh))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty state file")
+        try:
+            n = int(header)
+        except ValueError:
+            raise ValueError(f"{path}: first line must be the site count") from None
+        if not 1 <= n <= DENSE_STATE_LIMIT:
+            raise ValueError(f"{path}: site count {n} outside 1..{DENSE_STATE_LIMIT}")
+        dim = 1 << n
+        # re and im of each entry side by side: the memory layout of complex
+        buf = np.empty((dim, 2 * dim))
+        found = 0
+        for found, line in enumerate(lines, 1):
+            if found <= dim:
+                _read_row(path, found - 1, line, buf[found - 1])
+    if found != dim:
+        raise ValueError(f"{path}: expected {dim} matrix rows, found {found}")
+    return DenseState(buf.view(complex))
+
+
+def _read_row(path: str, i: int, line: str, out: np.ndarray) -> None:
+    """Parse matrix row i into ``out`` as re, im, re, im, ...
+
+    A row of 2^n tokens holding 2^n commas, each token at least one, has
+    exactly one comma per token; numpy then parses all of its numbers in
+    one call, accepting what ``float`` accepts.  Any other row, or a
+    failed parse, takes the per-entry loop, which names the bad entry.
+    """
+    dim = out.shape[0] // 2
+    pairs = line.split()
+    if len(pairs) == dim and line.count(",") == dim and all("," in pair for pair in pairs):
+        try:
+            values = np.array(line.replace(",", " ").split(), dtype=float)
+        except ValueError:
+            pass
+        else:
+            if values.shape == out.shape:  # an empty re or im part drops a number
+                out[:] = values
+                return
+    if len(pairs) != dim:
+        raise ValueError(f"{path}: row {i} has {len(pairs)} entries, expected {dim}")
+    for j, pair in enumerate(pairs):
+        re_part, sep, im_part = pair.partition(",")
+        if not sep:
+            raise ValueError(f"{path}: row {i} entry {j} is not a re,im pair")
+        try:
+            out[2 * j : 2 * j + 2] = float(re_part), float(im_part)
+        except ValueError:
+            raise ValueError(f"{path}: row {i} entry {j} is not numeric") from None
 
 
 def write_dense_state(path: str, state: StateModel) -> None:

@@ -9,7 +9,8 @@ blocked numpy enumeration of ``bruteforce_report`` replaces.
 ``HnObservable`` is the rank-two observable behind F^psi, and
 ``half_group_term_sum`` sums F^psi of an analytic state over its 2^{n-1}
 half-group terms, the route that the closed forms in ``kslab.states``
-replace.
+replace.  ``read_dense_reference`` is the whole-file, entry-by-entry
+dense-state parser that the streamed ``read_dense_state`` replaces.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from kslab.pauli import (
     half_zmasks,
     lambda_element,
 )
-from kslab.states import GhzSuperposition, ProductState, WernerState, expectation
+from kslab.states import (
+    DenseState,
+    GhzSuperposition,
+    ProductState,
+    WernerState,
+    expectation,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -160,3 +167,36 @@ def half_group_term_sum(state) -> float:
             terms *= np.where(((z >> j) & 1).astype(bool), rz, 1.0)
         return float(terms.sum())
     raise TypeError(f"no term sum for {type(state).__name__}")
+
+
+def read_dense_reference(path: str) -> DenseState:
+    """Load the documented text format: first line n, then 2^n rows of
+    2^n whitespace-separated "re,im" pairs."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    lines = [line for line in lines if line]
+    if not lines:
+        raise ValueError(f"{path}: empty state file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError(f"{path}: first line must be the site count") from None
+    if not 1 <= n <= DENSE_STATE_LIMIT:
+        raise ValueError(f"{path}: site count {n} outside 1..{DENSE_STATE_LIMIT}")
+    dim = 1 << n
+    if len(lines) != dim + 1:
+        raise ValueError(f"{path}: expected {dim} matrix rows, found {len(lines) - 1}")
+    rows = np.zeros((dim, dim), dtype=complex)
+    for i, line in enumerate(lines[1:]):
+        pairs = line.split()
+        if len(pairs) != dim:
+            raise ValueError(f"{path}: row {i} has {len(pairs)} entries, expected {dim}")
+        for j, pair in enumerate(pairs):
+            re_part, sep, im_part = pair.partition(",")
+            if not sep:
+                raise ValueError(f"{path}: row {i} entry {j} is not a re,im pair")
+            try:
+                rows[i, j] = complex(float(re_part), float(im_part))
+            except ValueError:
+                raise ValueError(f"{path}: row {i} entry {j} is not numeric") from None
+    return DenseState(rows)

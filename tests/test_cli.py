@@ -11,9 +11,12 @@ import pytest
 from oracle import oracle_matrix
 
 import kslab.cli
+import kslab.experiment
+import kslab.pauli
 from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, main
 from kslab.experiment import required_words
 from kslab.inequalities import scan, scan_from_csv
+from kslab.pauli import PauliString
 from kslab.states import (
     DenseState,
     GhzSuperposition,
@@ -189,6 +192,22 @@ class TestViolate:
         assert out == ""
         assert "finite" in err
 
+    def test_overflowing_dense_file_prints_one_error_line(self, tmp_path, kslab_env):
+        # the trace of these entries overflows; numpy's warning must not leak
+        path = tmp_path / "huge.txt"
+        path.write_text("1\n1e308,0 1e308,0\n1e308,0 1e308,0\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "kslab.cli", "violate", "--state", f"dense:@{path}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=kslab_env,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "trace is not 1" in result.stderr
+
     @pytest.mark.parametrize("header", ["100000", "-3", "0", "11"])
     def test_dense_header_out_of_range_is_usage_error(self, capsys, tmp_path, header):
         path = tmp_path / "state.txt"
@@ -258,6 +277,27 @@ class TestCheck:
         assert payload["lhs"] == pytest.approx(4.0, abs=1e-10)
         assert payload["bound"] == 2.0
         assert payload["violated"] is True
+
+    def test_multipartite_success_builds_no_word(self, capsys, tmp_path, monkeypatch):
+        words = required_words("multipartite", 6)
+        path = self.write(
+            tmp_path, "word,value,sigma\n" + "".join(f"{w},0.25,0.01\n" for w in words)
+        )
+        calls = []
+
+        def forbidden(*args):
+            calls.append(args)
+            raise AssertionError("word built on the success path")
+
+        letters = PauliString.letters
+        monkeypatch.setattr(kslab.experiment, "lambda_element", forbidden)
+        monkeypatch.setattr(kslab.pauli, "lambda_element", forbidden)
+        monkeypatch.setattr(
+            PauliString, "letters", property(lambda w: calls.append(w) or letters.fget(w))
+        )
+        payload = run_json(capsys, "check", "--file", path, "--kind", "multi")
+        assert payload["lhs"] == 8.0
+        assert calls == []
 
     def test_missing_word_is_usage_error(self, capsys, tmp_path):
         path = self.write(tmp_path, "word,value,sigma\nXX,0.5,0.02\n")

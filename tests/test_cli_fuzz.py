@@ -42,7 +42,7 @@ HEADERS = st.one_of(
 )
 ENTRIES = st.one_of(
     st.tuples(NUMBERS, NUMBERS).map(",".join),
-    st.sampled_from(["0,0", "0.5,0", "1", "a,b"]),
+    st.sampled_from(["0,0", "0.5,0", "1", "a,b", "1,2,3", ",0", "1,"]),
 )
 
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import io
 import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kslab.experiment
 from kslab.experiment import (
@@ -281,6 +285,52 @@ class TestEvaluateMultipartite:
     def test_site_count_is_capped(self):
         with pytest.raises(ValueError, match="n <= 1023"):
             required_words("multipartite", 1024)
+
+    def test_lhs_does_not_depend_on_row_order(self):
+        rng = random.Random(8)
+        rows = [f"{w},{rng.uniform(-1, 1)!r},0.01" for w in required_words("multipartite", 8)]
+        report = evaluate_experiment(ingest_correlators(csv_of(rows)), "multipartite", 8)
+        rng.shuffle(rows)
+        shuffled = evaluate_experiment(ingest_correlators(csv_of(rows)), "multipartite", 8)
+        assert shuffled.lhs == report.lhs
+        assert shuffled.uncertainty == report.uncertainty
+        exact = sum(Fraction(row.split(",")[1]) for row in rows)
+        assert report.lhs == float(exact)  # fsum is correctly rounded
+
+    @given(data=st.data(), n=st.integers(3, 6))
+    @settings(deadline=None, max_examples=150)
+    def test_accepts_exactly_the_required_word_set(self, data, n):
+        required = required_words("multipartite", n)
+        words = data.draw(st.permutations(required))
+        edits = data.draw(
+            st.lists(
+                st.sampled_from(["swap", "drop", "duplicate", "lengthen", "shorten"]),
+                max_size=3,
+            )
+        )
+        for edit in edits:
+            if not words:
+                break
+            i = data.draw(st.integers(0, len(words) - 1))
+            if edit == "swap":
+                j = data.draw(st.integers(0, n - 1))
+                letter = data.draw(st.sampled_from("IXYZ"))
+                words[i] = words[i][:j] + letter + words[i][j + 1 :]
+            elif edit == "drop":
+                del words[i]
+            elif edit == "duplicate":
+                words.append(words[i])
+            elif edit == "lengthen":
+                words[i] += data.draw(st.sampled_from("IZ"))
+            elif len(words[i]) > 1:
+                words[i] = words[i][1:]
+        records = [CorrelatorRecord(w, 0.5) for w in words]
+        if set(words) == set(required):
+            report = evaluate_experiment(records, "multipartite", n)
+            assert report.lhs == 0.5 * len(required)
+        else:
+            with pytest.raises(ValueError, match="correlators"):
+                evaluate_experiment(records, "multipartite", n)
 
     def test_wrong_length_words_are_unknown(self):
         records = ingest_correlators(csv_of(["II,1,0", "ZZ,1,0"]))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import (
     LETTER,
     HnObservable,
@@ -13,6 +16,7 @@ from oracle import (
     half_group_term_sum,
     oracle_matrix,
     random_word,
+    read_dense_reference,
 )
 
 from kslab.errors import VerificationError
@@ -308,6 +312,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="alpha"):
             GhzSuperposition(3, 1.0, 1e200j)
 
+    @pytest.mark.parametrize("row, col", [(0, 1), (63, 64), (100, 5), (127, 126)])
+    def test_hermitian_defect_found_in_every_band(self, row, col):
+        rho = np.eye(128, dtype=complex) / 128
+        rho[row, col] = 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DenseState(rho)
+        rho[row, col] = 1e-11  # within ATOL_SCALAR
+        DenseState(rho)
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ([[0.5, 1e308], [-1e308, 0.5]], "not Hermitian"),  # 1e308 - (-1e308)
+            ([[1e308, 1e308], [1e308, 1e308]], "trace is not 1"),  # sum overflows
+        ],
+    )
+    def test_overflow_rejects_without_warnings(self, rho, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                DenseState(np.array(rho, dtype=complex))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError):
@@ -388,3 +414,101 @@ def test_ghz_dense_form_is_projector():
     rho = to_density_matrix(state)
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-12)
     assert np.trace(rho) == pytest.approx(1.0)
+
+
+def dense_file(tmp_path, rows: list[str], header: str = "1") -> str:
+    path = tmp_path / "state.txt"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDenseReader:
+    """The streamed reader against the whole-file reference parser."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_round_trip_matches_reference_bit_for_bit(self, tmp_path, n):
+        state = random_density(n, np.random.default_rng(100 + n))
+        path = str(tmp_path / "state.txt")
+        write_dense_state(path, state)
+        loaded = read_dense_state(path)
+        assert same_bits(loaded.rho, read_dense_reference(path).rho)
+        assert same_bits(loaded.rho, state.rho)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_and_line_endings(self, tmp_path, newline):
+        state = random_density(3, np.random.default_rng(7))
+        plain = str(tmp_path / "plain.txt")
+        write_dense_state(plain, state)
+        with open(plain, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        path = tmp_path / "spaced.txt"
+        spaced = ["", lines[0], "  ", *itertools.chain(*((line, "") for line in lines[1:]))]
+        path.write_bytes(newline.join(spaced).encode())
+        loaded = read_dense_state(str(path))
+        assert same_bits(loaded.rho, read_dense_reference(str(path)).rho)
+        assert same_bits(loaded.rho, state.rho)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,2,3 4", "row 1 entry 0 is not numeric"),
+            (",0 0,0", "row 1 entry 0 is not numeric"),
+            ("0,0 1,", "row 1 entry 1 is not numeric"),
+            ("1;0 0,0", "row 1 entry 0 is not a re,im pair"),
+            ("0,0 0x10,0", "row 1 entry 1 is not numeric"),
+            ("0,0 0.5,0 0,0", "row 1 has 3 entries, expected 2"),
+            ("0,0 0.5", "row 1 entry 1 is not a re,im pair"),
+            ("0,0 0.5,0,", "row 1 entry 1 is not numeric"),
+            (", 1,", "row 1 entry 0 is not numeric"),  # parses to one number
+        ],
+    )
+    def test_malformed_row_is_named(self, tmp_path, row, message):
+        path = dense_file(tmp_path, ["0.5,0 0,0", row])
+        with pytest.raises(ValueError, match=message) as info:
+            read_dense_state(path)
+        with pytest.raises(ValueError) as reference:
+            read_dense_reference(path)
+        assert str(info.value) == str(reference.value)
+
+    def test_extra_rows_are_counted(self, tmp_path):
+        path = dense_file(tmp_path, ["0.5,0 0,0", "0,0 0.5,0", "junk", "0,0 0,0"])
+        with pytest.raises(ValueError, match="expected 2 matrix rows, found 4"):
+            read_dense_state(path)
+
+    def test_bad_row_is_reported_before_the_row_count(self, tmp_path):
+        # the reference reports the row count first; rows are now checked as read
+        path = dense_file(tmp_path, ["0.5,x 0,0"])
+        with pytest.raises(ValueError, match="row 0 entry 0 is not numeric"):
+            read_dense_state(path)
+        with pytest.raises(ValueError, match="expected 2 matrix rows, found 1"):
+            read_dense_reference(path)
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["0.5,0", "0,0", "0,1e-300", "1_0,0", "-0,-0", "1,2,3", ",0", "1,",
+                     "0x10,0", "1;0", "inf,0", "1e400,0", "0.5", "a,b", ","]
+                ),
+                min_size=1,
+                max_size=3,
+            ).map(" ".join),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_generated_rows_match_reference(self, tmp_path_factory, rows):
+        path = dense_file(tmp_path_factory.mktemp("rows"), rows)
+        try:
+            expected = read_dense_reference(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                read_dense_state(path)
+            assert str(info.value) == str(exc)
+        else:
+            assert same_bits(read_dense_state(path).rho, expected.rho)
