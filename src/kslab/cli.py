@@ -3,6 +3,12 @@
 Every subcommand prints a machine-readable report to stdout.  Exit codes
 form a stable contract: 0 on success, 2 when a verification check fails,
 1 on usage or input errors.
+
+Only the array routes import numpy: ``hv_oracle`` and ``fine_model`` are
+imported inside the handlers that run them, and the remaining modules
+import numpy inside their array-building functions.  ``scan``,
+``violate`` on ``ghz:`` and ``product:`` states, ``bound`` without
+``--bruteforce`` and ``check`` run without it.
 """
 
 from __future__ import annotations
@@ -15,13 +21,6 @@ from typing import Any, Sequence
 
 from .errors import VerificationError
 from .experiment import evaluate_experiment, ingest_correlators
-from .fine_model import run_fine_suite
-from .hv_oracle import (
-    bruteforce_report,
-    ghz_certificate,
-    peres_mermin_certificate,
-    verify_hvkn,
-)
 from .inequalities import (
     multipartite_bound,
     multipartite_report,
@@ -33,8 +32,8 @@ from .inequalities import (
 from .pauli import (
     GROUP_LIMIT,
     LambdaIndex,
+    closure_break,
     lambda_element,
-    pauli_mul,
     verify_sum_identities,
 )
 from .states import parse_state_spec
@@ -61,20 +60,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_group(args: argparse.Namespace) -> tuple[Payload, bool]:
     n = args.n
-    if n > GROUP_LIMIT:
-        raise ValueError(f"group tables limited to n <= {GROUP_LIMIT}")
+    if not 1 <= n <= GROUP_LIMIT:
+        raise ValueError(f"group tables need 1 <= n <= {GROUP_LIMIT}, got {n}")
     order = 1 << n
     elements = [lambda_element(LambdaIndex(n, p)) for p in range(order)]
-    closure = True
-    first_break = None
-    for p in range(order):
-        for q in range(order):
-            if pauli_mul(elements[p], elements[q]) != elements[p ^ q]:
-                closure = False
-                first_break = {"p": p, "q": q}
-                break
-        if not closure:
-            break
+    first_break = closure_break(elements)
+    closure = first_break is None
     payload: dict[str, Any] = {
         "n": n,
         "order": order,
@@ -84,13 +75,16 @@ def _cmd_group(args: argparse.Namespace) -> tuple[Payload, bool]:
         ],
     }
     if first_break is not None:
-        payload["first_break"] = first_break
+        p, q = first_break
+        payload["first_break"] = {"p": p, "q": q}
     return payload, closure
 
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[Payload, bool]:
     payload: dict[str, Any] = {"n": args.n, "bound": multipartite_bound(args.n)}
     if args.bruteforce:
+        from .hv_oracle import bruteforce_report
+
         report = bruteforce_report(args.n, workers=args.workers)
         payload.update(report.to_dict())
         payload["agree"] = report.bound_bruteforce == report.bound_formula
@@ -134,13 +128,19 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[Payload, bool]:
         ok = all(r.ok for r in reports)
         detail = [dataclasses.asdict(r) for r in reports]
     elif args.suite == "hvkn":
+        from .hv_oracle import verify_hvkn
+
         reports = [verify_hvkn(n) for n in _HVKN_RANGE]
         ok = all(r.ok for r in reports)
         detail = [r.to_dict() for r in reports]
     elif args.suite == "fine":
+        from .fine_model import run_fine_suite
+
         suite = run_fine_suite()
         return suite, bool(suite["ok"])
     else:
+        from .hv_oracle import ghz_certificate, peres_mermin_certificate
+
         certificates = [peres_mermin_certificate(), ghz_certificate()]
         ok = all(c.satisfying_count == 0 for c in certificates)
         detail = [c.to_dict() for c in certificates]

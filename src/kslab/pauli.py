@@ -17,17 +17,20 @@ The sign-group words and their odd-closure companions are indexed by
 its z-mask, for a single word (``lambda_element``) and for whole tables
 (``half_zmasks``); the leading index bit selects the all-X part.
 
-All products and phases are computed in integer arithmetic; numpy enters
-through the dense-matrix oracle ``PauliString.to_matrix`` and the
-vectorized z-mask tables (``half_zmasks``, ``walsh_hadamard``).
+All products and phases are computed in integer arithmetic, by one rule
+(``_product``) that ``pauli_mul`` applies to single words and
+``closure_break`` to a whole element table at once.  Importing this module
+does not import numpy: it enters, by a function-local import, only in the
+routes that build arrays: the dense-matrix oracle ``PauliString.to_matrix``,
+the dense identity check, the vectorized z-mask tables (``half_zmasks``,
+``walsh_hadamard``) and ``closure_break``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import re
-
-import numpy as np
 
 from .errors import VerificationError
 
@@ -39,7 +42,10 @@ DENSE_CHECK_LIMIT = 6
 # F values and classical bounds.
 SITE_LIMIT = 1023
 # The group table checks closure over all 4^n products.
-GROUP_LIMIT = 10
+GROUP_LIMIT = 12
+# Products per block of the vectorized closure check: 2^18 int64 entries
+# are 2 MB per array.
+_CLOSURE_BLOCK = 1 << 18
 
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -47,13 +53,18 @@ _WORD_RE = re.compile(r"^([+-]?i?)([IXYZ]+)$")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 _X_BITS = str.maketrans("IXYZ", "0110")
 
-# Single-site factors in the (z, x) encoding; (1, 1) is sigma_z sigma_x.
-_SITE_MATRIX = {
-    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
-    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, 1], [-1, 0]], dtype=complex),
-}
+
+@lru_cache(maxsize=None)
+def _site_matrix() -> dict[tuple[int, int], np.ndarray]:
+    """Single-site factors in the (z, x) encoding; (1, 1) is sigma_z sigma_x."""
+    import numpy as np
+
+    return {
+        (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
+        (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
+        (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
+        (1, 1): np.array([[0, 1], [-1, 0]], dtype=complex),
+    }
 
 
 def full_mask(n: int) -> int:
@@ -128,24 +139,68 @@ class PauliString:
         """Dense 2^n x 2^n matrix; the oracle for everything symbolic."""
         if self.n > DENSE_STATE_LIMIT:
             raise ValueError(f"dense form limited to n <= {DENSE_STATE_LIMIT}")
+        import numpy as np
+
+        site = _site_matrix()
         out = np.array([[1j**self.phase_exp]])
         for j in range(self.n):
             z = (self.z_mask >> j) & 1
             x = (self.x_mask >> j) & 1
-            out = np.kron(out, _SITE_MATRIX[(z, x)])
+            out = np.kron(out, site[(z, x)])
         return out
 
 
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product a*b in canonical form.
+def _product(za, xa, pa, zb, xb, pb, popcount):
+    """(z, x, phase) of the product of words (za, xa, pa) and (zb, xb, pb).
 
     Moving b's Z factors through a's X factors picks up (-1) per
-    overlapping site; the masks then combine by XOR.
+    overlapping site; the masks then combine by XOR.  The arguments are
+    ints or int64 arrays, with the matching ``popcount``.
     """
+    return za ^ zb, xa ^ xb, (pa + pb + 2 * popcount(xa & zb)) % 4
+
+
+def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
+    """Exact product a*b in canonical form."""
     if a.n != b.n:
         raise ValueError(f"site counts differ: {a.n} != {b.n}")
-    phase = (a.phase_exp + b.phase_exp + 2 * (a.x_mask & b.z_mask).bit_count()) % 4
-    return PauliString(a.n, a.z_mask ^ b.z_mask, a.x_mask ^ b.x_mask, phase)
+    z, x, phase = _product(
+        a.z_mask, a.x_mask, a.phase_exp, b.z_mask, b.x_mask, b.phase_exp, int.bit_count
+    )
+    return PauliString(a.n, z, x, phase)
+
+
+def closure_break(elements: list[PauliString]) -> tuple[int, int] | None:
+    """First (p, q), in row-major order, whose product
+    ``elements[p] * elements[q]`` is not ``elements[p ^ q]``; None when
+    the table closes under that law.
+
+    All words must share one site count and the table's length must be a
+    power of two.  The products run as int64 arrays, a block of rows at
+    a time.
+    """
+    import numpy as np
+
+    order = len(elements)
+    if order < 1 or order & (order - 1):
+        raise ValueError(f"table length {order} is not a power of two")
+    if len({e.n for e in elements}) != 1:
+        raise ValueError("words in the table have different site counts")
+    z, x, ph = (
+        np.array([getattr(e, key) for e in elements], dtype=np.int64)
+        for key in ("z_mask", "x_mask", "phase_exp")
+    )
+    q = np.arange(order, dtype=np.int64)
+    rows = max(1, _CLOSURE_BLOCK // order)
+    for start in range(0, order, rows):
+        p = q[start : start + rows, None]
+        target = p ^ q
+        zc, xc, pc = _product(z[p], x[p], ph[p], z, x, ph, np.bitwise_count)
+        bad = (zc != z[target]) | (xc != x[target]) | (pc != ph[target])
+        if bad.any():
+            row, col = divmod(int(bad.argmax()), order)
+            return start + row, col
+    return None
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -224,6 +279,8 @@ def half_zmasks(n: int, odd: bool = False) -> np.ndarray:
     family or (``odd=True``) of the odd-closure companions.  The upper
     index half reuses the same z-masks.
     """
+    import numpy as np
+
     return index_zmask(n, np.arange(1 << (n - 1), dtype=np.int64), odd)
 
 
@@ -234,6 +291,8 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     weight of the Z-string with mask z, out[m] is that weighted sum's
     eigenvalue on basis state m.  Integer input stays exact.
     """
+    import numpy as np
+
     out = np.array(values)
     size = out.shape[0]
     if out.ndim != 1 or size < 1 or size & (size - 1):
@@ -283,12 +342,15 @@ def _family_expansion(words: list[PauliString]) -> dict[tuple[int, int], complex
 
 
 def _dense_residual(n: int, x_part: bool, odd: bool, words: list[PauliString]) -> float:
-    site_plus = _SITE_MATRIX[(0, 0)] + _SITE_MATRIX[(1, 0)]
-    site_minus = _SITE_MATRIX[(0, 0)] - _SITE_MATRIX[(1, 0)]
+    import numpy as np
+
+    site = _site_matrix()
+    site_plus = site[(0, 0)] + site[(1, 0)]
+    site_minus = site[(0, 0)] - site[(1, 0)]
     if x_part:
         # sigma_x +/- i sigma_y, written without leaving the (z, x) basis
-        site_plus = _SITE_MATRIX[(0, 1)] + _SITE_MATRIX[(1, 1)]
-        site_minus = _SITE_MATRIX[(0, 1)] - _SITE_MATRIX[(1, 1)]
+        site_plus = site[(0, 1)] + site[(1, 1)]
+        site_minus = site[(0, 1)] - site[(1, 1)]
     branch_a = np.array([[1.0]], dtype=complex)
     branch_b = np.array([[1.0]], dtype=complex)
     for _ in range(n):

@@ -13,6 +13,10 @@ every state.  The analytic families evaluate this in O(n):
 (prod(1 + r_z) + prod(1 - r_z))/2 for a product state and 1 - lambda for
 Werner.  The test suite checks each closed form against the term-by-term
 sum and every analytic expectation against the dense path.
+
+numpy is imported inside the functions that build arrays (the dense
+state, its reader and writer, and the dense routes of the expectation
+engine), so the analytic families run without it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .errors import VerificationError
 from .pauli import (
@@ -43,6 +45,8 @@ _HERMITIAN_BAND = 64
 def _hermitian_defect(rho: np.ndarray) -> float:
     """max |rho - rho^H|, one band of rows at a time, so no full-size
     temporary is built."""
+    import numpy as np
+
     defect = 0.0
     for s in range(0, rho.shape[0], _HERMITIAN_BAND):
         band = slice(s, s + _HERMITIAN_BAND)
@@ -56,36 +60,55 @@ class DenseState:
 
     The finiteness, Hermitian (checked in bands of rows), trace and
     positivity checks run in that order; the first to fail raises
-    ``ValueError``.
+    ``ValueError``.  The state holds its own copy of the matrix, so a
+    caller that later changes its array leaves the state unchanged.
     """
 
     rho: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         rho = np.array(self.rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("density matrix must be square")
-        dim = rho.shape[0]
-        if dim < 2 or dim & (dim - 1):
-            raise ValueError(f"dimension {dim} is not a power of two")
-        if dim > 1 << DENSE_STATE_LIMIT:
-            raise ValueError(f"dense states limited to n <= {DENSE_STATE_LIMIT}")
-        # Huge finite entries overflow to inf in these checks, which then
-        # fail them; numpy's overflow warnings would only add noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(rho).all():
-                raise ValueError("density matrix entries must be finite")
-            if _hermitian_defect(rho) > ATOL_SCALAR:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(rho) - 1) > ATOL_SCALAR:
-                raise ValueError("density matrix trace is not 1")
-            if np.linalg.eigvalsh(rho).min() < -ATOL_SCALAR:
-                raise ValueError("density matrix is not positive semidefinite")
+        _check_density(rho)
         object.__setattr__(self, "rho", rho)
+
+    @classmethod
+    def _adopt(cls, rho: np.ndarray) -> "DenseState":
+        """Validate and keep ``rho`` itself, without a copy.  Only for a
+        complex array that no caller holds, such as a freshly read one."""
+        _check_density(rho)
+        state = object.__new__(cls)
+        object.__setattr__(state, "rho", rho)
+        return state
 
     @property
     def n(self) -> int:
         return int(self.rho.shape[0]).bit_length() - 1
+
+
+def _check_density(rho: np.ndarray) -> None:
+    """The checks of ``DenseState``, on a complex array."""
+    import numpy as np
+
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    dim = rho.shape[0]
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"dimension {dim} is not a power of two")
+    if dim > 1 << DENSE_STATE_LIMIT:
+        raise ValueError(f"dense states limited to n <= {DENSE_STATE_LIMIT}")
+    # Huge finite entries overflow to inf in these checks, which then
+    # fail them; numpy's overflow warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix entries must be finite")
+        if _hermitian_defect(rho) > ATOL_SCALAR:
+            raise ValueError("density matrix is not Hermitian")
+        if abs(np.trace(rho) - 1) > ATOL_SCALAR:
+            raise ValueError("density matrix trace is not 1")
+        if np.linalg.eigvalsh(rho).min() < -ATOL_SCALAR:
+            raise ValueError("density matrix is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -160,16 +183,22 @@ StateModel = Union[DenseState, ProductState, GhzSuperposition, WernerState]
 
 def pi_vector() -> np.ndarray:
     """The Bell state (|+-> + |-+>)/sqrt(2) in the z basis."""
+    import numpy as np
+
     return np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 
 
 def maximally_mixed(n: int) -> DenseState:
+    import numpy as np
+
     dim = 1 << n
     return DenseState(np.eye(dim, dtype=complex) / dim)
 
 
 def random_density(n: int, rng: np.random.Generator) -> DenseState:
     """Ginibre-sampled density matrix."""
+    import numpy as np
+
     dim = 1 << n
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
@@ -177,6 +206,8 @@ def random_density(n: int, rng: np.random.Generator) -> DenseState:
 
 
 def to_density_matrix(state: StateModel) -> np.ndarray:
+    import numpy as np
+
     if isinstance(state, DenseState):
         return state.rho.copy()
     if state.n > DENSE_STATE_LIMIT:
@@ -213,6 +244,8 @@ def expectation(state: StateModel, word: PauliString) -> complex:
     phase = 1j**word.phase_exp
 
     if isinstance(state, DenseState):
+        import numpy as np
+
         return complex(np.einsum("ij,ji->", state.rho, word.to_matrix()))
 
     if isinstance(state, ProductState):
@@ -265,6 +298,8 @@ def f_value(state: StateModel) -> float:
         return float(1 - state.lam)
 
     if isinstance(state, DenseState):
+        import numpy as np
+
         diag = np.diag(state.rho).real
         term_sum = float(walsh_hadamard(diag)[half_zmasks(n)].sum())
         direct = (1 << (n - 1)) * float(diag[0] + diag[-1])
@@ -287,6 +322,8 @@ def bell_fidelity(state: StateModel) -> float:
         + expectation(state, PauliString.from_text("+YY")).real
         - expectation(state, PauliString.from_text("+ZZ")).real
     ) / 4
+    import numpy as np
+
     pi = pi_vector()
     direct = float(np.real(pi.conj() @ to_density_matrix(state) @ pi))
     if abs(corr - direct) > ATOL_SCALAR:
@@ -340,7 +377,10 @@ def read_dense_state(path: str) -> DenseState:
     more than one row of text is held.  Each row is checked as it is read:
     a malformed row is reported by row (and entry) before the row count
     is compared, and rows past the 2^n-th are counted but not parsed.
+    The state adopts the filled buffer instead of copying it.
     """
+    import numpy as np
+
     with open(path, encoding="utf-8") as fh:
         lines = filter(None, map(str.strip, fh))
         header = next(lines, None)
@@ -361,7 +401,7 @@ def read_dense_state(path: str) -> DenseState:
                 _read_row(path, found - 1, line, buf[found - 1])
     if found != dim:
         raise ValueError(f"{path}: expected {dim} matrix rows, found {found}")
-    return DenseState(buf.view(complex))
+    return DenseState._adopt(buf.view(complex))
 
 
 def _read_row(path: str, i: int, line: str, out: np.ndarray) -> None:
@@ -372,6 +412,8 @@ def _read_row(path: str, i: int, line: str, out: np.ndarray) -> None:
     one call, accepting what ``float`` accepts.  Any other row, or a
     failed parse, takes the per-entry loop, which names the bad entry.
     """
+    import numpy as np
+
     dim = out.shape[0] // 2
     pairs = line.split()
     if len(pairs) == dim and line.count(",") == dim and all("," in pair for pair in pairs):

@@ -11,6 +11,8 @@ blocked numpy enumeration of ``bruteforce_report`` replaces.
 half-group terms, the route that the closed forms in ``kslab.states``
 replace.  ``read_dense_reference`` is the whole-file, entry-by-entry
 dense-state parser that the streamed ``read_dense_state`` replaces.
+``closure_break_reference`` is the scalar double loop over ``pauli_mul``
+that the vectorized ``closure_break`` replaces.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from kslab.pauli import (
     PauliString,
     half_zmasks,
     lambda_element,
+    pauli_mul,
 )
 from kslab.states import (
     DenseState,
@@ -200,3 +203,14 @@ def read_dense_reference(path: str) -> DenseState:
             except ValueError:
                 raise ValueError(f"{path}: row {i} entry {j} is not numeric") from None
     return DenseState(rows)
+
+
+def closure_break_reference(elements: list[PauliString]) -> tuple[int, int] | None:
+    """First (p, q), in row-major order, with elements[p] * elements[q]
+    != elements[p ^ q], one scalar product at a time; None if none."""
+    order = len(elements)
+    for p in range(order):
+        for q in range(order):
+            if pauli_mul(elements[p], elements[q]) != elements[p ^ q]:
+                return p, q
+    return None

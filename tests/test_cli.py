@@ -16,7 +16,7 @@ import kslab.pauli
 from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, main
 from kslab.experiment import required_words
 from kslab.inequalities import scan, scan_from_csv
-from kslab.pauli import PauliString
+from kslab.pauli import GROUP_LIMIT, PauliString, lambda_element
 from kslab.states import (
     DenseState,
     GhzSuperposition,
@@ -59,6 +59,35 @@ class TestGroup:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("n", [-1, 0, GROUP_LIMIT + 1])
+    def test_out_of_range_size_names_the_range(self, capsys, n):
+        code, out, err = run_cli(capsys, "group", "--n", str(n))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"1 <= n <= {GROUP_LIMIT}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_largest_tables_close(self, capsys, n):
+        payload = run_json(capsys, "group", "--n", str(n))
+        assert payload["order"] == 1 << n
+        assert payload["closure"] is True
+        assert "first_break" not in payload
+
+    def test_first_break_is_reported(self, capsys, monkeypatch):
+        def flipped(idx):
+            word = lambda_element(idx)
+            if idx.p != 5:
+                return word
+            return PauliString(word.n, word.z_mask, word.x_mask, 2)
+
+        monkeypatch.setattr(kslab.cli, "lambda_element", flipped)
+        code, out, _ = run_cli(capsys, "group", "--n", "3")
+        payload = json.loads(out)
+        assert code == EXIT_VERIFICATION
+        assert payload["closure"] is False
+        assert payload["first_break"] == {"p": 1, "q": 4}
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "group")
         assert code == EXIT_USAGE
@@ -68,7 +97,7 @@ class TestGroup:
             raise AssertionError("group table built above the cap")
 
         monkeypatch.setattr(kslab.cli, "lambda_element", refuse)
-        code, out, err = run_cli(capsys, "group", "--n", "11")
+        code, out, err = run_cli(capsys, "group", "--n", str(GROUP_LIMIT + 1))
         assert code == EXIT_USAGE
         assert out == ""
         assert "error" in err
@@ -393,7 +422,7 @@ class TestVerify:
 
     def test_failing_suite_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "kslab.cli.run_fine_suite",
+            "kslab.fine_model.run_fine_suite",
             lambda: {"suite": "fine", "checks": 1, "failures": 1, "ok": False},
         )
         code, out, _ = run_cli(capsys, "verify", "--suite", "fine")

@@ -1,0 +1,132 @@
+"""Import costs and the package's public names.
+
+The analytic subcommands must run without importing numpy, and the
+lazily resolved package must export exactly the names it always has.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import kslab
+from kslab.experiment import required_words
+
+# Runs ``kslab.cli.main`` on the JSON argument list (none: import only)
+# and reports its exit code and whether numpy was imported.
+_PROBE = """
+import contextlib, io, json, sys
+import kslab.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = kslab.cli.main(argv)
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+PUBLIC_NAMES = [
+    "Assignment", "BoundReport", "ContradictionCertificate", "CorrelatorRecord",
+    "DenseState", "ENUMERATION_CAP", "FiniteHVModel", "GhzSuperposition",
+    "HvknReport", "IdentityReport", "InequalityReport", "LambdaIndex",
+    "PauliString", "ProductState", "VerificationError", "WernerState",
+    "apply_spectrally", "bell_fidelity", "bruteforce_bound", "bruteforce_report",
+    "build_model", "check_D", "check_FUNC", "check_JD", "check_PROD",
+    "check_indicator_pullback", "check_measure_lemma", "commutes",
+    "decide_violation", "evaluate_experiment", "expectation", "f_value",
+    "g_value", "ghz_certificate", "group_product", "halfgroup_sums",
+    "indicator_matrix", "ingest_correlators", "lambda_element",
+    "maximally_mixed", "multipartite_bound", "multipartite_report",
+    "parse_state_spec", "pauli_mul", "peres_mermin_certificate", "pi_vector",
+    "random_commuting_family", "random_density", "random_measure_space",
+    "read_dense_state", "required_words", "run_fine_suite", "scan",
+    "scan_from_csv", "scan_to_csv", "scan_to_json", "spectrum_subsets",
+    "to_density_matrix", "two_partite_report", "verify_hvkn",
+    "verify_sum_identities", "write_dense_state",
+]
+
+
+def probe(argv: list[str], env: dict[str, str]) -> dict:
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@pytest.fixture
+def csv_files(tmp_path) -> dict[str, str]:
+    multi = tmp_path / "multi.csv"
+    multi.write_text(
+        "word,value,sigma\n"
+        + "".join(f"{w},0.25,0.01\n" for w in required_words("multipartite", 5)),
+        encoding="utf-8",
+    )
+    two = tmp_path / "two.csv"
+    two.write_text("word,value,sigma\nXX,0.5,0.02\nYY,0.5,0.02\nZZ,-0.5,0.02\n",
+                   encoding="utf-8")
+    return {"multi": str(multi), "two": str(two)}
+
+
+NUMPY_FREE = {
+    "import": [],
+    "scan": ["scan", "--from", "2", "--to", "12", "--format", "json"],
+    "ghz": ["violate", "--state", "ghz:n=24,alpha=0.6,beta=0.8"],
+    "product": ["violate", "--state", "product:+-+-+-"],
+    "bound": ["bound", "--n", "6"],
+    "check-multi": ["check", "--file", "{multi}", "--kind", "multi"],
+    "check-two": ["check", "--file", "{two}", "--kind", "two"],
+}
+
+
+@pytest.mark.parametrize("job", sorted(NUMPY_FREE))
+def test_analytic_jobs_do_not_import_numpy(job, kslab_env, csv_files):
+    argv = [arg.format(**csv_files) for arg in NUMPY_FREE[job]]
+    outcome = probe(argv, kslab_env)
+    assert outcome == {"code": 0 if argv else None, "numpy": False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "--n", "2"], ["violate", "--state", "werner:lambda=0.5"]],
+)
+def test_array_jobs_do_import_numpy(argv, kslab_env):
+    # the probe sees numpy when a job does load it
+    assert probe(argv, kslab_env) == {"code": 0, "numpy": True}
+
+
+def test_bare_package_import_loads_submodules_on_access(kslab_env):
+    code = (
+        "import sys, kslab\n"
+        "before = sorted(m for m in sys.modules if m.startswith('kslab.'))\n"
+        "mid = 'numpy' in sys.modules\n"
+        "kslab.hv_oracle.verify_hvkn\n"
+        "print(before, mid, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=kslab_env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]", "False", "True"]
+
+
+def test_public_names_are_unchanged():
+    assert sorted(kslab.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(kslab, name) is not None
+    assert set(PUBLIC_NAMES) <= set(dir(kslab))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from kslab import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert namespace["pauli_mul"] is kslab.pauli.pauli_mul
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kslab.no_such_name  # noqa: B018

@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Y, Z, dense, oracle_matrix, random_word
+from oracle import Y, Z, closure_break_reference, dense, oracle_matrix, random_word
 
+import kslab.pauli
 from kslab.pauli import (
     DENSE_CHECK_LIMIT,
     LambdaIndex,
     PauliString,
+    closure_break,
     commutes,
     group_product,
     half_zmasks,
@@ -209,6 +211,54 @@ class TestGroupFamily:
             for p in range(1, 1 << n):
                 assert abs(np.trace(dense(lambda_element(LambdaIndex(n, p))))) < 1e-12
                 assert abs(np.trace(dense(lambda_element(LambdaIndex(n, p, True))))) < 1e-12
+
+
+def group_table(n: int) -> list[PauliString]:
+    return [lambda_element(LambdaIndex(n, p)) for p in range(1 << n)]
+
+
+class TestClosureKernel:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_group_tables_close(self, n):
+        table = group_table(n)
+        assert closure_break(table) is None
+        assert closure_break_reference(table) is None
+
+    def doctored(self, n, k, field):
+        table = group_table(n)
+        w = table[k]
+        if field == "mask":
+            table[k] = PauliString(n, w.z_mask ^ 1, w.x_mask, w.phase_exp)
+        else:
+            table[k] = PauliString(n, w.z_mask, w.x_mask, (w.phase_exp + 1) % 4)
+        return table
+
+    @pytest.mark.parametrize("field", ["mask", "phase"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_doctored_tables_break_where_the_oracle_does(self, n, field):
+        for k in sorted({0, 1, (1 << n) // 2, (1 << n) - 1}):
+            table = self.doctored(n, k, field)
+            found = closure_break(table)
+            assert found is not None
+            assert found == closure_break_reference(table)
+
+    @pytest.mark.parametrize("field", ["mask", "phase"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_small_row_blocks(self, monkeypatch, rows, field):
+        # one row per block puts the first break (row 1) in the second
+        # block; three rows per block leave a one-row block at the end
+        monkeypatch.setattr(kslab.pauli, "_CLOSURE_BLOCK", rows * 64)
+        assert closure_break(group_table(6)) is None
+        table = self.doctored(6, 45, field)
+        expected = closure_break_reference(table)
+        assert expected[0] >= 1
+        assert closure_break(table) == expected
+
+    def test_rejects_ragged_tables(self):
+        with pytest.raises(ValueError, match="power of two"):
+            closure_break(group_table(2)[:3])
+        with pytest.raises(ValueError, match="site counts"):
+            closure_break([PauliString.identity(1), PauliString.identity(2)])
 
 
 # Each group-family check is forced to fail under python -O, where a bare

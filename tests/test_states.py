@@ -287,6 +287,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             DenseState(flipped)  # negative eigenvalue
 
+    def test_dense_state_keeps_its_own_copy(self):
+        rho = np.eye(4, dtype=complex) / 4
+        state = DenseState(rho)
+        rho[0, 0] = 7.0
+        rho[1, 2] = 1j
+        assert same_bits(state.rho, np.eye(4, dtype=complex) / 4)
+
+    def test_adopting_constructor_validates_and_does_not_copy(self):
+        rho = np.eye(4, dtype=complex) / 4
+        assert DenseState._adopt(rho).rho is rho
+        rho[0, 1] = 0.5
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DenseState._adopt(rho)
+
     def test_product_rejects_long_bloch(self):
         with pytest.raises(ValueError):
             ProductState(((0.9, 0.9, 0.9),))
@@ -437,6 +451,14 @@ class TestDenseReader:
         loaded = read_dense_state(path)
         assert same_bits(loaded.rho, read_dense_reference(path).rho)
         assert same_bits(loaded.rho, state.rho)
+
+    def test_reader_adopts_its_parse_buffer(self, tmp_path):
+        path = str(tmp_path / "state.txt")
+        write_dense_state(path, random_density(3, np.random.default_rng(5)))
+        rho = read_dense_state(path).rho
+        # a complex view of the (2^n, 2^(n+1)) float buffer, not a copy
+        assert rho.base is not None and rho.base.shape == (8, 16)
+        assert rho.base.dtype == np.float64
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_blank_lines_and_line_endings(self, tmp_path, newline):
