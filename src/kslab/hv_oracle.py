@@ -4,14 +4,15 @@ An assignment gives each site a pair of signs (vx_j, vy_j), the
 pre-assigned outcomes of the two transverse single-site measurements.
 Compound-word values are always derived by the product rule, carrying
 each word's intrinsic sign.  This module recovers the classical bound by
-evaluating every assignment (a blocked numpy sweep over half-site
+evaluating every assignment (a grid of high-half by low-half site
+codes, swept a block of rows at a time as outer products of half-site
 tables), produces enumeration certificates for the two standard
 contradiction scenarios, and verifies the assignment identity behind the
 bound in exact integer arithmetic.
 
 The signed word sums over a family half, sum_q s_q (-1)^popcount(m & z_q),
 are read from that half's Walsh-Hadamard spectrum: one O(n 2^n)
-transform per n and family, then one gather per assignment.
+transform per n and family, then one lookup per word mask.
 """
 
 from __future__ import annotations
@@ -28,11 +29,17 @@ from .errors import VerificationError
 from .inequalities import multipartite_bound
 from .pauli import PauliString, commutes, half_zmasks, pauli_mul, walsh_hadamard
 
-# 2^28 assignments; the blocked sweep with its cross-check stays well
-# inside one minute on one core.
+# 2^28 assignments; the grid sweep with its cross-check takes under a
+# second on one core.
 ENUMERATION_CAP = 14
 
-# Assignments per block of the bound sweep; memory stays flat in n.
+# Integer type of the sweep kernel.  It holds the half tables and g, all
+# within 2^(n/2) in magnitude, and the even spectrum's word sums, within
+# 2^(n-1) (one per word of the half group), so 2^(ENUMERATION_CAP-1) must fit.
+SWEEP_DTYPE = np.int32
+
+# Assignments per block of the bound sweep (whole grid rows, at least
+# one); memory stays flat in n.
 _BLOCK = 1 << 16
 
 _SAMPLE_SEED = 104729
@@ -174,6 +181,21 @@ def _half_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return re * x_sign, im * x_sign
 
 
+def _place(n: int, k: int, shift: int, codes: np.ndarray) -> np.ndarray:
+    """Codes of k sites (vx in the low k bits, vy in the next k) placed at
+    site ``shift`` of an n-site code: vx bits from ``shift``, vy bits from
+    n + shift."""
+    return ((codes & ((1 << k) - 1)) << shift) | ((codes >> k) << (n + shift))
+
+
+def _mask_major_codes(k: int) -> np.ndarray:
+    """The 4^k codes of k sites ordered by word mask vx ^ vy, then by vy:
+    entry (m << k) | vy holds the code with vx = m ^ vy."""
+    entries = np.arange(1 << (2 * k), dtype=np.int64)
+    vy = entries & ((1 << k) - 1)
+    return ((entries >> k) ^ vy) | (vy << k)
+
+
 def bruteforce_report(
     n: int,
     workers: int | None = None,
@@ -181,16 +203,20 @@ def bruteforce_report(
     cap: int = ENUMERATION_CAP,
 ) -> BoundReport:
     """Evaluate g_value on all 4^n encoded assignments and reduce to its
-    extrema, in blocks of consecutive codes on one process.
+    extrema, sweeping a grid of half-site codes on one process.
 
-    Each block combines two half-site tables: with the sites split into
-    a low and a high half, g = aL*aH - bL*bH, where (a, b) are a half's
-    (Re, Im) of prod (vx + i*vy) times its prod vx (meet in the middle).
-    The cross-check compares every block elementwise with the
-    product-rule word sums of ``halfgroup_sums``.  The witness is the
-    smallest code attaining the maximum.  ``workers`` is validated and
-    otherwise ignored; ``elapsed`` covers the enumeration and its
-    cross-check.
+    With the sites split into a low and a high half, g = aL*aH - bL*bH,
+    where (a, b) are a half's (Re, Im) of prod (vx + i*vy) times its
+    prod vx (meet in the middle).  Rows of the grid are the 4^ceil(n/2)
+    high-half codes in code order, columns the 4^floor(n/2) low-half
+    codes grouped by word mask, and a block of whole rows is two outer
+    products of the half tables.  The cross-check compares every entry
+    with its product-rule word sum, the even spectrum at the word mask
+    (high-half mask, low-half mask); in a row those sums come in runs of
+    2^floor(n/2) equal entries, one per low-half mask.  A mismatch names
+    the smallest mismatching code, and the witness is the smallest code
+    attaining the maximum.  ``workers`` is validated and otherwise
+    ignored; ``elapsed`` covers the enumeration and its cross-check.
     """
     if not 2 <= n <= cap:
         raise ValueError(f"enumeration needs 2 <= n <= {cap}, got {n}")
@@ -199,33 +225,56 @@ def bruteforce_report(
     started = time.perf_counter()
     low_sites = n // 2
     high_sites = n - low_sites
-    a_low, b_low = _half_table(low_sites)
-    a_high, b_high = _half_table(high_sites)
-    low_mask = (1 << low_sites) - 1
-    high_mask = (1 << high_sites) - 1
+    low = _mask_major_codes(low_sites)
+    high = np.arange(1 << (2 * high_sites), dtype=np.int64)
+    a_low, b_low = (t[low].astype(SWEEP_DTYPE) for t in _half_table(low_sites))
+    a_high, b_high = (t.astype(SWEEP_DTYPE) for t in _half_table(high_sites))
+    code_low = _place(n, low_sites, 0, low)
+    code_high = _place(n, high_sites, low_sites, high)
+    if cross_check:
+        spectrum = _spectrum(n, False).astype(SWEEP_DTYPE)
+        spectrum = spectrum.reshape(1 << high_sites, 1 << low_sites, 1)
+        mask_high = (high & ((1 << high_sites) - 1)) ^ (high >> high_sites)
 
-    total = 1 << (2 * n)
+    rows, cols = a_high.shape[0], a_low.shape[0]
+    step = min(max(1, _BLOCK // cols), rows)
+    g_buf = np.empty((step, cols), dtype=SWEEP_DTYPE)
+    tmp_buf = np.empty_like(g_buf)
+
+    def smallest_code(hits: np.ndarray, first_row: int) -> int:
+        flat = np.flatnonzero(hits)
+        return int((code_high[first_row + flat // cols] + code_low[flat % cols]).min())
+
     # |g| <= 2^(n/2), so the first block replaces both starting extrema
     best_g, best_code, min_g = -(1 << n), 0, 1 << n
-    for begin in range(0, total, _BLOCK):
-        codes = np.arange(begin, min(begin + _BLOCK, total), dtype=np.int64)
-        vy = codes >> n
-        low = (codes & low_mask) | ((vy & low_mask) << low_sites)
-        high = ((codes >> low_sites) & high_mask) | ((vy >> low_sites) << high_sites)
-        g = a_low[low] * a_high[high] - b_low[low] * b_high[high]
+    total = bad_code = 1 << (2 * n)
+    for begin in range(0, rows, step):
+        end = min(begin + step, rows)
+        g = g_buf[: end - begin]
+        tmp = tmp_buf[: end - begin]
+        np.multiply.outer(a_high[begin:end], a_low, out=g)
+        np.multiply.outer(b_high[begin:end], b_low, out=tmp)
+        g -= tmp
         if cross_check:
-            sums = halfgroup_sums(n, codes)
-            if not np.array_equal(g, sums):
-                code = int(codes[int(np.argmax(g != sums))])
-                raise VerificationError(
-                    f"word sums differ from the site products first at "
-                    f"{Assignment.from_bits(n, code)}"
-                )
-        top = int(np.argmax(g))
-        if g[top] > best_g:
-            best_g, best_code = int(g[top]), begin + top
+            runs = g.reshape(end - begin, 1 << low_sites, 1 << low_sites)
+            differ = runs != spectrum[mask_high[begin:end]]
+            if differ.any():
+                bad_code = min(bad_code, smallest_code(differ, begin))
+        top = int(g.max())
+        # rows run in vy-high groups, and a later group holds only larger codes
+        if top > best_g or (
+            top == best_g and begin >> high_sites <= best_code >> (n + low_sites)
+        ):
+            code = smallest_code(g == top, begin)
+            best_code = min(best_code, code) if top == best_g else code
+            best_g = top
         min_g = min(min_g, int(g.min()))
     elapsed = time.perf_counter() - started
+    if bad_code < total:
+        raise VerificationError(
+            f"word sums differ from the site products first at "
+            f"{Assignment.from_bits(n, bad_code)}"
+        )
 
     witness = Assignment.from_bits(n, best_code)
     if g_value(witness) != best_g:

@@ -12,7 +12,9 @@ half-group terms, the route that the closed forms in ``kslab.states``
 replace.  ``read_dense_reference`` is the whole-file, entry-by-entry
 dense-state parser that the streamed ``read_dense_state`` replaces.
 ``closure_break_reference`` is the scalar double loop over ``pauli_mul``
-that the vectorized ``closure_break`` replaces.
+that the vectorized ``closure_break`` replaces.  ``bruteforce_reference``
+is the code-order block loop that the row-block grid sweep of
+``bruteforce_report`` replaces.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kslab import hv_oracle
+from kslab.errors import VerificationError
+from kslab.hv_oracle import Assignment
 from kslab.pauli import (
     DENSE_CHECK_LIMIT,
     DENSE_STATE_LIMIT,
@@ -214,3 +219,43 @@ def closure_break_reference(elements: list[PauliString]) -> tuple[int, int] | No
             if pauli_mul(elements[p], elements[q]) != elements[p ^ q]:
                 return p, q
     return None
+
+
+REFERENCE_BLOCK = 1 << 16
+
+
+def bruteforce_reference(n: int, cross_check: bool = True) -> tuple[int, int, int]:
+    """(max g, smallest code attaining it, min g) over all 4^n codes, in
+    blocks of consecutive codes, each gathered from the two half tables
+    and compared with ``halfgroup_sums``; raises ``VerificationError`` at
+    the first mismatching code.  The half tables are looked up on
+    ``kslab.hv_oracle`` at call time, so a patched table reaches both
+    sweeps."""
+    low_sites = n // 2
+    high_sites = n - low_sites
+    a_low, b_low = hv_oracle._half_table(low_sites)
+    a_high, b_high = hv_oracle._half_table(high_sites)
+    low_mask = (1 << low_sites) - 1
+    high_mask = (1 << high_sites) - 1
+
+    total = 1 << (2 * n)
+    best_g, best_code, min_g = -(1 << n), 0, 1 << n
+    for begin in range(0, total, REFERENCE_BLOCK):
+        codes = np.arange(begin, min(begin + REFERENCE_BLOCK, total), dtype=np.int64)
+        vy = codes >> n
+        low = (codes & low_mask) | ((vy & low_mask) << low_sites)
+        high = ((codes >> low_sites) & high_mask) | ((vy >> low_sites) << high_sites)
+        g = a_low[low] * a_high[high] - b_low[low] * b_high[high]
+        if cross_check:
+            sums = hv_oracle.halfgroup_sums(n, codes)
+            if not np.array_equal(g, sums):
+                code = int(codes[int(np.argmax(g != sums))])
+                raise VerificationError(
+                    f"word sums differ from the site products first at "
+                    f"{Assignment.from_bits(n, code)}"
+                )
+        top = int(np.argmax(g))
+        if g[top] > best_g:
+            best_g, best_code = int(g[top]), begin + top
+        min_g = min(min_g, int(g.min()))
+    return best_g, best_code, min_g

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import oracle_matrix, parity_dot, scan_range
+from oracle import bruteforce_reference, oracle_matrix, parity_dot, scan_range
 
 import kslab.hv_oracle
 from kslab.errors import VerificationError
 from kslab.hv_oracle import (
     ENUMERATION_CAP,
+    SWEEP_DTYPE,
     Assignment,
     BoundReport,
     _spectrum,
@@ -51,6 +52,21 @@ def oracle_halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
         vy = 1 - 2 * ((ints >> (n + j)) & 1)
         masks |= (vx * vy < 0).astype(np.int64) << j
     return parity_dot(masks, *family_half(n, odd=False))
+
+
+def doctor_half_table(monkeypatch, entries) -> None:
+    """Add 1 to the real-part entry at each (sites, code) of ``entries``
+    in every table ``_half_table`` builds from now on."""
+    original = kslab.hv_oracle._half_table
+
+    def doctored(k: int) -> tuple[np.ndarray, np.ndarray]:
+        re, im = original(k)
+        for sites, code in entries:
+            if sites == k:
+                re[code] += 1
+        return re, im
+
+    monkeypatch.setattr(kslab.hv_oracle, "_half_table", doctored)
 
 
 class TestAssignment:
@@ -169,6 +185,62 @@ class TestBruteforceBound:
             bruteforce_report(4)
         assert bruteforce_report(4, cross_check=False).cross_check == "off"
 
+    @pytest.mark.parametrize(
+        "n, entries",
+        [
+            # one entry of the table both halves share at n = 10
+            (10, ((5, 995),)),
+            # the first block with a mismatch (row 0, where vy_0 = -1) is
+            # not the one holding the smallest mismatching code (row 16,
+            # where vx_10 = -1)
+            (13, ((6, 1 << 6), (7, 16))),
+        ],
+    )
+    def test_mismatch_names_the_same_code_as_the_reference(self, monkeypatch, n, entries):
+        doctor_half_table(monkeypatch, entries)
+        with pytest.raises(VerificationError, match="first at Assignment") as reference:
+            bruteforce_reference(n)
+        with pytest.raises(VerificationError) as grid:
+            bruteforce_report(n)
+        assert str(grid.value) == str(reference.value)
+
+    def test_witness_tie_in_a_later_block(self, monkeypatch):
+        # stand-in half tables at n = 13 (6 low sites, 7 high): block 0
+        # first reaches the maximum 2 at row 0 only where vy_0 = -1, and
+        # the smallest code reaching it sits in row 20 of block 1
+        a_low, b_low = np.zeros(1 << 12, np.int64), np.zeros(1 << 12, np.int64)
+        a_low[1 << 6] = 2  # vy_0 = -1
+        b_low[5] = 2  # vx_0 = vx_2 = -1
+        a_high, b_high = np.zeros(1 << 14, np.int64), np.zeros(1 << 14, np.int64)
+        a_high[0] = 1
+        a_high[20], b_high[20] = 1, -1  # vx_8 = vx_10 = -1
+        tables = {6: (a_low, b_low), 7: (a_high, b_high)}
+        monkeypatch.setattr(kslab.hv_oracle, "_half_table", tables.__getitem__)
+        best_g, best_code, min_g = bruteforce_reference(13, cross_check=False)
+        assert (best_g, best_code) == (2, (20 << 6) | 5)
+        monkeypatch.setattr(kslab.hv_oracle, "g_value", lambda a: best_g)
+        monkeypatch.setattr(kslab.hv_oracle, "multipartite_bound", lambda n: float(best_g))
+        report = bruteforce_report(13, cross_check=False)
+        assert report.bound_bruteforce == best_g
+        assert report.g_min == min_g
+        assert report.witness.to_bits() == best_code
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_code_order_reference(self, n):
+        best_g, best_code, min_g = bruteforce_reference(n, cross_check=False)
+        for cross_check in (True, False):
+            report = bruteforce_report(n, cross_check=cross_check)
+            assert report.bound_bruteforce == best_g
+            assert report.g_min == min_g
+            assert report.witness.to_bits() == best_code
+
+    def test_sweep_dtype_holds_the_capped_range(self):
+        # the even spectrum's word sums reach 2^(n-1), the widest values
+        # the sweep holds; g and the half tables stay within 2^(n/2)
+        assert np.iinfo(SWEEP_DTYPE).max >= 1 << (ENUMERATION_CAP - 1)
+        widest = int(np.abs(_spectrum(ENUMERATION_CAP, False)).max())
+        assert widest <= np.iinfo(SWEEP_DTYPE).max
+
     def test_cap_is_enforced(self):
         with pytest.raises(ValueError, match="2 <= n"):
             bruteforce_bound(ENUMERATION_CAP + 1)
@@ -177,7 +249,7 @@ class TestBruteforceBound:
         with pytest.raises(ValueError, match="2 <= n"):
             bruteforce_bound(5, cap=4)
 
-    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("n", [11, 12, 13])
     def test_cross_check_exhaustive_beyond_ten(self, n):
         report = bruteforce_report(n)
         assert report.cross_check == "exhaustive"
