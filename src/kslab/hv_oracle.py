@@ -8,7 +8,10 @@ evaluating every assignment (a grid of high-half by low-half site
 codes, swept a block of rows at a time as outer products of half-site
 tables), produces enumeration certificates for the two standard
 contradiction scenarios, and verifies the assignment identity behind the
-bound in exact integer arithmetic.
+bound in exact integer arithmetic, a fixed-size block of codes at a
+time: all 4^n codes when they fit the budget, otherwise a sample read
+from ``random.Random(104729)`` as the low 2n bits of each little-endian
+64-bit word, so memory stays flat in the budget.
 
 The signed word sums over a family half, sum_q s_q (-1)^popcount(m & z_q),
 are read from that half's Walsh-Hadamard spectrum: one O(n 2^n)
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,6 +37,10 @@ from .pauli import PauliString, commutes, half_zmasks, pauli_mul, walsh_hadamard
 # second on one core.
 ENUMERATION_CAP = 14
 
+# Largest n of the identity check: each of its two family spectra holds
+# 2^n int64 word sums, 8 MB at n = 20.
+HVKN_LIMIT = 20
+
 # Integer type of the sweep kernel.  It holds the half tables and g, all
 # within 2^(n/2) in magnitude, and the even spectrum's word sums, within
 # 2^(n-1) (one per word of the half group), so 2^(ENUMERATION_CAP-1) must fit.
@@ -41,6 +49,10 @@ SWEEP_DTYPE = np.int32
 # Assignments per block of the bound sweep (whole grid rows, at least
 # one); memory stays flat in n.
 _BLOCK = 1 << 16
+
+# Codes per block of the identity check; its dozen int64 temporaries take
+# 32 KB each, so memory stays flat in the sample budget.
+_HVKN_BLOCK = 1 << 12
 
 _SAMPLE_SEED = 104729
 
@@ -470,38 +482,48 @@ def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
     equal the signed word sums over the non-diagonal family halves.
 
     Exhaustive when 2^{2n} fits the budget, otherwise a fixed-seed
-    uniform sample of that size.  The products are multiplied out site
-    by site; the word sums are gathered from the two family spectra.
-    All arithmetic is exact.
+    uniform sample of that size: the low 2n bits of each little-endian
+    64-bit word of ``random.Random(104729).randbytes`` (4^n is a power of
+    two, so those bits are uniform).  Codes are checked in fixed-size
+    blocks, so memory stays flat in the budget; the stream fills whole
+    32-bit words in order, so the sample does not depend on the block
+    size.  The first failure is the first in sample order.  The products
+    are multiplied out site by site; the word sums are gathered from the
+    two family spectra.  All arithmetic is exact.
     """
-    if n < 2:
-        raise ValueError("identity check needs n >= 2")
+    if not 2 <= n <= HVKN_LIMIT:
+        raise ValueError(f"identity check needs n >= 2 and n <= {HVKN_LIMIT}, got {n}")
     if sample_budget < 1:
         raise ValueError("sample budget must be positive")
     total = 1 << (2 * n)
     if total <= sample_budget:
-        mode, seed = "exhaustive", None
-        ints = np.arange(total, dtype=np.int64)
+        mode, seed, checked = "exhaustive", None, total
     else:
-        mode, seed = "sampled", _SAMPLE_SEED
-        rng = np.random.default_rng(seed)
-        ints = rng.integers(0, total, size=sample_budget, dtype=np.int64)
+        mode, seed, checked = "sampled", _SAMPLE_SEED, sample_budget
+        stream = random.Random(seed)
+    even, odd = _spectrum(n, False), _spectrum(n, True)
 
-    re, im = _site_products(n, ints)
-    masks = _word_masks(n, ints)
-    p_sign = _x_signs(n, ints)
-    word_re = p_sign * _spectrum(n, False).take(masks)
-    word_im = p_sign * _spectrum(n, True).take(masks)
-
-    bad = (re != word_re) | (im != word_im)
-    failures = int(bad.sum())
+    failures = 0
     first = None
-    if failures:
-        first = Assignment.from_bits(n, int(ints[int(np.argmax(bad))]))
+    for begin in range(0, checked, _HVKN_BLOCK):
+        end = min(begin + _HVKN_BLOCK, checked)
+        if mode == "exhaustive":
+            ints = np.arange(begin, end, dtype=np.int64)
+        else:
+            words = np.frombuffer(stream.randbytes(8 * (end - begin)), dtype="<i8")
+            ints = words & (total - 1)
+        re, im = _site_products(n, ints)
+        masks = _word_masks(n, ints)
+        p_sign = _x_signs(n, ints)
+        bad = (re != p_sign * even.take(masks)) | (im != p_sign * odd.take(masks))
+        block_failures = int(bad.sum())
+        if block_failures and first is None:
+            first = Assignment.from_bits(n, int(ints[int(np.argmax(bad))]))
+        failures += block_failures
     return HvknReport(
         n=n,
         mode=mode,
-        checked=int(ints.shape[0]),
+        checked=checked,
         failures=failures,
         first_failure=first,
         seed=seed,

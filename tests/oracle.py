@@ -14,11 +14,15 @@ dense-state parser that the streamed ``read_dense_state`` replaces.
 ``closure_break_reference`` is the scalar double loop over ``pauli_mul``
 that the vectorized ``closure_break`` replaces.  ``bruteforce_reference``
 is the code-order block loop that the row-block grid sweep of
-``bruteforce_report`` replaces.
+``bruteforce_report`` replaces.  ``verify_hvkn_reference`` is the
+one-piece identity check, every code in a single array and the sample
+stream drawn in one call (``hvkn_reference_codes``), that the blocked
+``verify_hvkn`` replaces.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from kslab import hv_oracle
 from kslab.errors import VerificationError
-from kslab.hv_oracle import Assignment
+from kslab.hv_oracle import Assignment, HvknReport
 from kslab.pauli import (
     DENSE_CHECK_LIMIT,
     DENSE_STATE_LIMIT,
@@ -259,3 +263,41 @@ def bruteforce_reference(n: int, cross_check: bool = True) -> tuple[int, int, in
             best_g, best_code = int(g[top]), begin + top
         min_g = min(min_g, int(g.min()))
     return best_g, best_code, min_g
+
+
+def hvkn_reference_codes(n: int, sample_budget: int = 100_000) -> np.ndarray:
+    """The codes ``verify_hvkn`` checks, in order, as one array: all 4^n
+    codes, or the whole sample read at once from the seeded stream."""
+    total = 1 << (2 * n)
+    if total <= sample_budget:
+        return np.arange(total, dtype=np.int64)
+    words = random.Random(hv_oracle._SAMPLE_SEED).randbytes(8 * sample_budget)
+    return np.frombuffer(words, dtype="<i8") & (total - 1)
+
+
+def verify_hvkn_reference(n: int, sample_budget: int = 100_000) -> HvknReport:
+    """``verify_hvkn`` in one piece: every code of ``hvkn_reference_codes``
+    checked as a single array.  The spectra are looked up on
+    ``kslab.hv_oracle`` at call time, so a patched spectrum reaches both
+    checks."""
+    ints = hvkn_reference_codes(n, sample_budget)
+    re_part, im_part = hv_oracle._site_products(n, ints)
+    masks = hv_oracle._word_masks(n, ints)
+    p_sign = hv_oracle._x_signs(n, ints)
+    word_re = p_sign * hv_oracle._spectrum(n, False).take(masks)
+    word_im = p_sign * hv_oracle._spectrum(n, True).take(masks)
+
+    bad = (re_part != word_re) | (im_part != word_im)
+    failures = int(bad.sum())
+    first = None
+    if failures:
+        first = Assignment.from_bits(n, int(ints[int(np.argmax(bad))]))
+    sampled = ints.shape[0] < 1 << (2 * n)
+    return HvknReport(
+        n=n,
+        mode="sampled" if sampled else "exhaustive",
+        checked=int(ints.shape[0]),
+        failures=failures,
+        first_failure=first,
+        seed=hv_oracle._SAMPLE_SEED if sampled else None,
+    )

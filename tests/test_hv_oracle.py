@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import bruteforce_reference, oracle_matrix, parity_dot, scan_range
+from oracle import (
+    bruteforce_reference,
+    hvkn_reference_codes,
+    oracle_matrix,
+    parity_dot,
+    scan_range,
+    verify_hvkn_reference,
+)
 
 import kslab.hv_oracle
 from kslab.errors import VerificationError
 from kslab.hv_oracle import (
     ENUMERATION_CAP,
+    HVKN_LIMIT,
     SWEEP_DTYPE,
     Assignment,
     BoundReport,
@@ -379,6 +389,27 @@ class TestCertificates:
         assert "(dropped)" in peres_mermin_certificate(drop=1).to_table()
 
 
+# Word masks whose family spectrum entry ``doctor_spectra`` spoils, at
+# n sites: (even, odd).
+DOCTORED_MASKS = {8: (0b0110_1001, 0b1000_0001), 10: (0b11_0000_0101, 0b01_1111_0000)}
+
+
+def doctor_spectra(monkeypatch, n: int) -> None:
+    """Make one even-family and one odd-family word sum at n sites wrong by
+    2, so every code with either word mask fails the identity check."""
+    real = kslab.hv_oracle._spectrum
+
+    def doctored(k: int, odd: bool) -> np.ndarray:
+        spectrum = real(k, odd)
+        if k != n:
+            return spectrum
+        spectrum = spectrum.copy()
+        spectrum[DOCTORED_MASKS[n][odd]] += 2
+        return spectrum
+
+    monkeypatch.setattr(kslab.hv_oracle, "_spectrum", doctored)
+
+
 class TestVerifyHvkn:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_exhaustive_small_sites(self, n):
@@ -422,3 +453,56 @@ class TestVerifyHvkn:
             "first_failure": None,
             "seed": None,
         }
+
+    @pytest.mark.parametrize(("n", "budget"), [(3, 10), (4, 100_000), (8, 100_000),
+                                               (9, 500), (10, 100_000), (12, 100_000)])
+    def test_blocked_check_matches_one_piece_reference(self, n, budget):
+        report = verify_hvkn(n, sample_budget=budget)
+        assert report == verify_hvkn_reference(n, sample_budget=budget)
+        assert report.ok
+
+    def test_sample_is_the_low_bits_of_the_seeded_stream(self):
+        codes = hvkn_reference_codes(10, sample_budget=5)
+        words = random.Random(104729).randbytes(40)
+        assert codes.tolist() == [
+            int.from_bytes(words[8 * i : 8 * i + 8], "little") % 4**10 for i in range(5)
+        ]
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_failures_across_blocks_match_reference(self, n, monkeypatch):
+        doctor_spectra(monkeypatch, n)
+        codes = hvkn_reference_codes(n)
+        masks = (codes ^ (codes >> n)) & ((1 << n) - 1)
+        hit = np.flatnonzero(np.isin(masks, DOCTORED_MASKS[n]))
+        assert len(set(hit // kslab.hv_oracle._HVKN_BLOCK)) > 2
+
+        report = verify_hvkn(n)
+        reference = verify_hvkn_reference(n)
+        assert report.mode == ("exhaustive" if n == 8 else "sampled")
+        assert report.failures == reference.failures == hit.size
+        assert report.first_failure == reference.first_failure
+        assert report.first_failure == Assignment.from_bits(n, int(codes[hit[0]]))
+
+    @pytest.mark.parametrize("block", [1 << 8, 3000])
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_block_size_does_not_change_report(self, n, block, monkeypatch):
+        doctor_spectra(monkeypatch, n)
+        default = verify_hvkn(n)
+        monkeypatch.setattr(kslab.hv_oracle, "_HVKN_BLOCK", block)
+        assert default.failures > 0
+        assert verify_hvkn(n) == default
+
+    @pytest.mark.parametrize("n", [HVKN_LIMIT + 1, 31, 32, 40])
+    def test_rejects_sizes_beyond_limit_before_building_arrays(self, n, monkeypatch):
+        def refuse(k: int, odd: bool) -> np.ndarray:
+            raise AssertionError(f"spectrum built at n = {k}")
+
+        monkeypatch.setattr(kslab.hv_oracle, "_spectrum", refuse)
+        for budget in (10, 100_000):
+            with pytest.raises(ValueError, match=rf"n >= 2 and n <= {HVKN_LIMIT}, got {n}"):
+                verify_hvkn(n, sample_budget=budget)
+
+    def test_largest_size_runs(self):
+        report = verify_hvkn(HVKN_LIMIT, sample_budget=5_000)
+        assert report == verify_hvkn_reference(HVKN_LIMIT, sample_budget=5_000)
+        assert report.ok

@@ -1,12 +1,15 @@
 """Import costs and the package's public names.
 
-The analytic subcommands must run without importing numpy, and the
-lazily resolved package must export exactly the names it always has.
+The analytic subcommands must run without importing numpy, the
+assignment checks without importing numpy.random, and the lazily
+resolved package must export exactly the names it always has.  The
+identity check's memory is measured against its module's import alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -26,6 +29,32 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = kslab.cli.main(argv)
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+# Runs a statement with stdout discarded and reports whether numpy and
+# numpy.random were imported.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps({name: name in sys.modules for name in ("numpy", "numpy.random")}))
+"""
+
+# Runs each statement in a child of this standard-library-only launcher
+# and prints each child's max-RSS.  A child's max-RSS starts from the
+# high-water mark of the process that spawned it, so a launcher far
+# smaller than its children keeps the test process's own memory out of
+# the figures.
+_RSS_LAUNCHER = """
+import json, os, sys
+peaks = []
+for statement in sys.argv[1:]:
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", statement], os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"{statement!r} failed")
+    peaks.append(usage.ru_maxrss)
+print(json.dumps(peaks))
 """
 
 PUBLIC_NAMES = [
@@ -97,6 +126,39 @@ def test_analytic_jobs_do_not_import_numpy(job, kslab_env, csv_files):
 def test_array_jobs_do_import_numpy(argv, kslab_env):
     # the probe sees numpy when a job does load it
     assert probe(argv, kslab_env) == {"code": 0, "numpy": True}
+
+
+NUMPY_RANDOM_FREE = {
+    "verify_hvkn": "from kslab.hv_oracle import verify_hvkn\nassert verify_hvkn(12).ok",
+    "bound-bruteforce": (
+        "import kslab.cli\nassert kslab.cli.main(['bound', '--n', '10', '--bruteforce']) == 0"
+    ),
+    "verify-hvkn": "import kslab.cli\nassert kslab.cli.main(['verify', '--suite', 'hvkn']) == 0",
+}
+
+
+@pytest.mark.parametrize("job", sorted(NUMPY_RANDOM_FREE))
+def test_assignment_checks_do_not_import_numpy_random(job, kslab_env):
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, NUMPY_RANDOM_FREE[job]],
+        capture_output=True, text=True, env=kslab_env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"numpy": True, "numpy.random": False}
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_identity_check_adds_little_memory_to_its_import(kslab_env):
+    result = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, "pass", "import kslab.hv_oracle",
+         "import kslab.hv_oracle\nassert kslab.hv_oracle.verify_hvkn(12).ok"],
+        capture_output=True, text=True, env=kslab_env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    bare, import_only, checked = json.loads(result.stdout)
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss unit, in bytes
+    assert import_only > bare  # the launcher's memory sets neither figure
+    assert (checked - import_only) * scale < 4 << 20
 
 
 def test_bare_package_import_loads_submodules_on_access(kslab_env):
