@@ -45,7 +45,6 @@ _EXPORTS = {
         "BoundReport",
         "ContradictionCertificate",
         "HvknReport",
-        "bruteforce_bound",
         "bruteforce_report",
         "g_value",
         "ghz_certificate",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "multipartite_bound",
         "multipartite_report",
         "scan",
-        "scan_from_csv",
         "scan_to_csv",
         "scan_to_json",
         "two_partite_report",
@@ -69,7 +67,6 @@ _EXPORTS = {
         "LambdaIndex",
         "PauliString",
         "commutes",
-        "group_product",
         "lambda_element",
         "pauli_mul",
         "verify_sum_identities",

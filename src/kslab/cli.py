@@ -43,8 +43,8 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 
 _KIND_NAMES = {"two": "two-partite", "multi": "multipartite"}
-_IDENTITY_RANGE = range(2, 9)
-_HVKN_RANGE = range(2, 9)
+# Site counts of the identities and hvkn verification suites.
+_SUITE_RANGE = range(2, 9)
 
 Payload = dict[str, Any] | None
 
@@ -124,13 +124,13 @@ def _cmd_check(args: argparse.Namespace) -> tuple[Payload, bool]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[Payload, bool]:
     if args.suite == "identities":
-        reports = [verify_sum_identities(n) for n in _IDENTITY_RANGE]
+        reports = [verify_sum_identities(n) for n in _SUITE_RANGE]
         ok = all(r.ok for r in reports)
         detail = [dataclasses.asdict(r) for r in reports]
     elif args.suite == "hvkn":
         from .hv_oracle import verify_hvkn
 
-        reports = [verify_hvkn(n) for n in _HVKN_RANGE]
+        reports = [verify_hvkn(n) for n in _SUITE_RANGE]
         ok = all(r.ok for r in reports)
         detail = [r.to_dict() for r in reports]
     elif args.suite == "fine":

@@ -8,15 +8,15 @@ applied to the measured value, and uncertainties propagate in quadrature.
 
 from __future__ import annotations
 
+import csv
+import itertools
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import IO, Iterable, Iterator
 
 import math
 
 from .inequalities import (
     InequalityReport,
-    csv_records,
     decide_violation,
     multipartite_bound,
 )
@@ -56,6 +56,21 @@ class CorrelatorRecord:
         """Measured value referred to the plain letter word (a signed word
         like ``-YY`` reports the negated observable)."""
         return self.sign * self.value
+
+
+def csv_records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """CSV records numbered from 1.  A record the csv module rejects, such
+    as one with a field over its size limit, raises ValueError naming
+    its line."""
+    reader = csv.reader(lines)
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        yield lineno, row
 
 
 def ingest_correlators(source: str | IO[str]) -> list[CorrelatorRecord]:
@@ -140,7 +155,9 @@ def evaluate_experiment(
     table = {record.letters: record for record in records}
     count, words = _required(kind, n)
     if len(table) < count:
-        missing = list(islice((w for w in words if w not in table), _NAMED_WORDS))
+        missing = list(
+            itertools.islice((w for w in words if w not in table), _NAMED_WORDS)
+        )
         raise ValueError(
             f"{kind} with n = {n} needs {count} correlators, got {len(table)}; "
             f"missing correlators include {missing}"

@@ -37,8 +37,8 @@ from .pauli import PauliString, commutes, half_zmasks, pauli_mul, walsh_hadamard
 # second on one core.
 ENUMERATION_CAP = 14
 
-# Largest n of the identity check: each of its two family spectra holds
-# 2^n int64 word sums, 8 MB at n = 20.
+# Largest n of the identity check and of ``halfgroup_sums``: each family
+# spectrum holds 2^n int64 word sums, 8 MB at n = 20.
 HVKN_LIMIT = 20
 
 # Integer type of the sweep kernel.  It holds the half tables and g, all
@@ -84,14 +84,6 @@ class Assignment:
             tuple(1 - 2 * ((bits >> j) & 1) for j in range(n)),
             tuple(1 - 2 * ((bits >> (n + j)) & 1) for j in range(n)),
         )
-
-    def to_bits(self) -> int:
-        bits = 0
-        for j, v in enumerate(self.vx):
-            bits |= (v < 0) << j
-        for j, v in enumerate(self.vy):
-            bits |= (v < 0) << (self.n + j)
-        return bits
 
 
 def g_value(a: Assignment) -> int:
@@ -159,7 +151,10 @@ def halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
     f(O_p) = f(O_{p xor h}) * f(O_h) for p < h, so the all-x factor
     enters squared and drops out, and the sum depends on the assignment
     only through its word mask: one gather from the even spectrum.
+    n must lie in 1..HVKN_LIMIT, checked before the spectrum is built.
     """
+    if not 1 <= n <= HVKN_LIMIT:
+        raise ValueError(f"word sums need 1 <= n <= {HVKN_LIMIT}, got {n}")
     ints = np.asarray(ints, dtype=np.int64)
     if ints.size and (int(ints.min()) < 0 or int(ints.max()) >= 1 << (2 * n)):
         raise ValueError(f"encoded assignments must lie in [0, 4^{n}) for n = {n}")
@@ -212,7 +207,6 @@ def bruteforce_report(
     n: int,
     workers: int | None = None,
     cross_check: bool = True,
-    cap: int = ENUMERATION_CAP,
 ) -> BoundReport:
     """Evaluate g_value on all 4^n encoded assignments and reduce to its
     extrema, sweeping a grid of half-site codes on one process.
@@ -230,8 +224,8 @@ def bruteforce_report(
     attaining the maximum.  ``workers`` is validated and otherwise
     ignored; ``elapsed`` covers the enumeration and its cross-check.
     """
-    if not 2 <= n <= cap:
-        raise ValueError(f"enumeration needs 2 <= n <= {cap}, got {n}")
+    if not 2 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"enumeration needs 2 <= n <= {ENUMERATION_CAP}, got {n}")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     started = time.perf_counter()
@@ -306,17 +300,6 @@ def bruteforce_report(
         workers=1,
         cross_check="exhaustive" if cross_check else "off",
     )
-
-
-def bruteforce_bound(
-    n: int,
-    workers: int | None = None,
-    cross_check: bool = True,
-    cap: int = ENUMERATION_CAP,
-) -> float:
-    """Maximum of g_value over all assignments, as a float for comparison
-    with the closed-form bound."""
-    return float(bruteforce_report(n, workers, cross_check, cap).bound_bruteforce)
 
 
 @dataclass(frozen=True)

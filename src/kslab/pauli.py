@@ -259,21 +259,6 @@ def lambda_element(idx: LambdaIndex) -> PauliString:
     return word
 
 
-def group_product(a: LambdaIndex, b: LambdaIndex) -> LambdaIndex:
-    """Group law: indices combine by XOR, with no phase left over."""
-    if a.n != b.n:
-        raise ValueError(f"site counts differ: {a.n} != {b.n}")
-    if a.odd or b.odd:
-        raise ValueError("the group law covers the even family only")
-    out = LambdaIndex(a.n, a.p ^ b.p)
-    product = pauli_mul(lambda_element(a), lambda_element(b))
-    if product != lambda_element(out):
-        raise VerificationError(
-            f"product {product.to_text()} of indices {a.p}, {b.p} is not element {out.p}"
-        )
-    return out
-
-
 def half_zmasks(n: int, odd: bool = False) -> np.ndarray:
     """Z-masks of the lower index half, p = 0 .. 2^{n-1}-1, of the even
     family or (``odd=True``) of the odd-closure companions.  The upper
@@ -361,17 +346,16 @@ def _dense_residual(n: int, x_part: bool, odd: bool, words: list[PauliString]) -
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def verify_sum_identities(n: int, mode: str = "auto") -> IdentityReport:
+def verify_sum_identities(n: int) -> IdentityReport:
     """Check the four projector-sum identities at n sites.
 
-    Symbolic mode expands both sides into exact (mask, phase) multisets;
-    dense mode compares 2^n x 2^n matrices (n <= DENSE_CHECK_LIMIT).
-    ``auto`` runs symbolic always and dense when small enough.
+    Both sides are always expanded into exact (mask, phase) multisets;
+    when n <= DENSE_CHECK_LIMIT they are also compared as 2^n x 2^n
+    matrices, and ``max_residual`` reports the largest dense residual.
+    The report's ``mode`` is always ``auto``, the name of that policy.
     """
     if n < 2:
         raise ValueError("identities need n >= 2")
-    if mode not in ("auto", "symbolic", "dense"):
-        raise ValueError(f"unknown mode {mode!r}")
     half = 1 << (n - 1)
     cases = [
         ("z-even", False, False),
@@ -380,27 +364,21 @@ def verify_sum_identities(n: int, mode: str = "auto") -> IdentityReport:
         ("x-odd", True, True),
     ]
 
-    report = IdentityReport(n=n, mode=mode, ok=True)
-    do_symbolic = mode in ("auto", "symbolic")
-    do_dense = mode == "dense" or (mode == "auto" and n <= DENSE_CHECK_LIMIT)
-    if mode == "dense" and n > DENSE_CHECK_LIMIT:
-        raise ValueError(f"dense mode limited to n <= {DENSE_CHECK_LIMIT}")
-
+    report = IdentityReport(n=n, mode="auto", ok=True)
     for label, x_part, odd in cases:
         start = half if x_part else 0
         words = [lambda_element(LambdaIndex(n, p, odd)) for p in range(start, start + half)]
-        if do_symbolic:
-            lhs = _projector_expansion(n, x_part, odd)
-            rhs = _family_expansion(words)
-            if lhs != rhs:
-                bad = sorted(set(lhs) ^ set(rhs)) or sorted(
-                    k for k in lhs if lhs[k] != rhs[k]
-                )
-                z, x = bad[0]
-                report.ok = False
-                report.first_mismatch = f"{label}: {PauliString(n, z, x, 0).to_text()}"
-                return report
-        if do_dense:
+        lhs = _projector_expansion(n, x_part, odd)
+        rhs = _family_expansion(words)
+        if lhs != rhs:
+            bad = sorted(set(lhs) ^ set(rhs)) or sorted(
+                k for k in lhs if lhs[k] != rhs[k]
+            )
+            z, x = bad[0]
+            report.ok = False
+            report.first_mismatch = f"{label}: {PauliString(n, z, x, 0).to_text()}"
+            return report
+        if n <= DENSE_CHECK_LIMIT:
             residual = _dense_residual(n, x_part, odd, words)
             if report.max_residual is None or residual > report.max_residual:
                 report.max_residual = residual

@@ -37,6 +37,10 @@ from .pauli import (
 
 ATOL_SCALAR = 1e-10
 
+# Slack on a unit norm (Bloch vector, superposition amplitudes), so that
+# parameters rounded from exact unit values are accepted.
+_NORM_SLACK = 1e-12
+
 
 # Rows per band of the Hermitian check: 64 rows of a 2^10 matrix are 1 MB.
 _HERMITIAN_BAND = 64
@@ -126,7 +130,7 @@ class ProductState:
                 raise ValueError("each Bloch vector needs three components")
             if not all(map(math.isfinite, r)):
                 raise ValueError(f"Bloch vector {r} has a non-finite component")
-            if sum(c * c for c in r) > 1 + 1e-12:
+            if sum(c * c for c in r) > 1 + _NORM_SLACK:
                 raise ValueError(f"Bloch vector {r} has norm > 1")
         object.__setattr__(self, "bloch", vecs)
 
@@ -157,7 +161,9 @@ class GhzSuperposition:
         if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
             raise ValueError("amplitudes must be finite")
         # a magnitude above 2 fails the norm anyway, and squaring it may overflow
-        if max(abs(alpha), abs(beta)) > 2 or abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-12:
+        if max(abs(alpha), abs(beta)) > 2 or (
+            abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > _NORM_SLACK
+        ):
             raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

@@ -17,11 +17,15 @@ is the code-order block loop that the row-block grid sweep of
 ``bruteforce_report`` replaces.  ``verify_hvkn_reference`` is the
 one-piece identity check, every code in a single array and the sample
 stream drawn in one call (``hvkn_reference_codes``), that the blocked
-``verify_hvkn`` replaces.
+``verify_hvkn`` replaces.  ``to_bits`` and ``scan_from_csv`` read an
+assignment's code and a ``scan --format csv`` table back, the inverses
+of ``Assignment.from_bits`` and ``scan_to_csv``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import re
 from dataclasses import dataclass
@@ -31,6 +35,7 @@ import numpy as np
 from kslab import hv_oracle
 from kslab.errors import VerificationError
 from kslab.hv_oracle import Assignment, HvknReport
+from kslab.inequalities import InequalityReport
 from kslab.pauli import (
     DENSE_CHECK_LIMIT,
     DENSE_STATE_LIMIT,
@@ -75,6 +80,36 @@ def random_word(rng: np.random.Generator, n: int) -> PauliString:
         int(rng.integers(1 << n)),
         int(rng.integers(4)),
     )
+
+
+def to_bits(a: Assignment) -> int:
+    """The 2n-bit code of an assignment: set bits mean -1, vx in the low half."""
+    bits = 0
+    for j, v in enumerate(a.vx + a.vy):
+        bits |= (v < 0) << j
+    return bits
+
+
+def scan_from_csv(text: str) -> list[tuple[str, InequalityReport]]:
+    """The labelled reports of a ``scan --format csv`` table, each float
+    parsed from its printed digits."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["state", "kind", "n", "lhs", "bound", "ratio", "violated", "sigma"]
+    return [
+        (
+            label,
+            InequalityReport(
+                kind=kind,
+                n=int(n),
+                lhs=float(lhs),
+                bound=float(bound),
+                ratio=float(ratio),
+                violated={"true": True, "false": False}[violated],
+                uncertainty=float(sigma) if sigma else None,
+            ),
+        )
+        for label, kind, n, lhs, bound, ratio, violated, sigma in rows
+    ]
 
 
 def parity_dot(masks: np.ndarray, z_masks: np.ndarray, signs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from kslab.fine_model import (
     spectrum_subsets,
 )
 from kslab.hv_oracle import (
-    bruteforce_bound,
+    bruteforce_report,
     ghz_certificate,
     peres_mermin_certificate,
     verify_hvkn,
@@ -122,9 +122,9 @@ def test_04_ghz_and_product_violation(announce):
 def test_05_bruteforce_recovers_bound(announce):
     announce["label"] = "05 brute force bound n=2..12"
     for n in range(2, 12):
-        assert bruteforce_bound(n) == multipartite_bound(n)
+        assert bruteforce_report(n).bound_bruteforce == multipartite_bound(n)
     start = time.perf_counter()
-    assert bruteforce_bound(12) == multipartite_bound(12)
+    assert bruteforce_report(12).bound_bruteforce == multipartite_bound(12)
     assert time.perf_counter() - start < 60.0
     announce["ok"] = True
 

@@ -8,14 +8,14 @@ import sys
 
 import numpy as np
 import pytest
-from oracle import oracle_matrix
+from oracle import oracle_matrix, scan_from_csv
 
 import kslab.cli
 import kslab.experiment
 import kslab.pauli
 from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, main
 from kslab.experiment import required_words
-from kslab.inequalities import scan, scan_from_csv
+from kslab.inequalities import scan
 from kslab.pauli import GROUP_LIMIT, PauliString, lambda_element
 from kslab.states import (
     DenseState,

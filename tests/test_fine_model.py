@@ -167,14 +167,6 @@ class TestRegister:
         assert model.fresh_name("+ZI") == "+ZI~2"
         assert model.fresh_name("new") == "new"
 
-    def test_json_dump_shape(self):
-        data = pi_z_model().to_json_dict()
-        assert data["omega"] == 4
-        assert len(data["weights"]) == 4
-        assert {op["name"] for op in data["operators"]} == {"+ZI", "+IZ"}
-        for op in data["operators"]:
-            assert set(op["values"]) <= set(op["spectrum"])
-
 
 class TestDistributionRules:
     def test_single_site_halves_on_pi(self):

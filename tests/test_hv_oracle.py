@@ -14,6 +14,7 @@ from oracle import (
     oracle_matrix,
     parity_dot,
     scan_range,
+    to_bits,
     verify_hvkn_reference,
 )
 
@@ -26,7 +27,6 @@ from kslab.hv_oracle import (
     Assignment,
     BoundReport,
     _spectrum,
-    bruteforce_bound,
     bruteforce_report,
     g_value,
     ghz_certificate,
@@ -83,7 +83,7 @@ class TestAssignment:
     def test_round_trip_small(self):
         for n in (1, 2, 3):
             for k in range(1 << (2 * n)):
-                assert Assignment.from_bits(n, k).to_bits() == k
+                assert to_bits(Assignment.from_bits(n, k)) == k
 
     @given(n=st.integers(1, 12), data=st.data())
     @settings(deadline=None, max_examples=150)
@@ -91,7 +91,7 @@ class TestAssignment:
         bits = data.draw(st.integers(0, (1 << (2 * n)) - 1))
         a = Assignment.from_bits(n, bits)
         assert a.n == n
-        assert a.to_bits() == bits
+        assert to_bits(a) == bits
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
@@ -135,7 +135,7 @@ class TestGValue:
 class TestBruteforceBound:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_closed_form_exactly(self, n):
-        assert bruteforce_bound(n) == multipartite_bound(n)
+        assert bruteforce_report(n).bound_bruteforce == multipartite_bound(n)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_witness_attains_the_bound(self, n):
@@ -184,7 +184,7 @@ class TestBruteforceBound:
     def test_witness_is_smallest_maximizing_code(self, n):
         values = [g_value(a) for a in all_assignments(n)]
         report = bruteforce_report(n, cross_check=False)
-        assert report.witness.to_bits() == values.index(max(values))
+        assert to_bits(report.witness) == values.index(max(values))
 
     def test_elementwise_cross_check_catches_one_bad_word_sum(self, monkeypatch):
         spectrum = np.array(_spectrum(4, False))
@@ -233,7 +233,7 @@ class TestBruteforceBound:
         report = bruteforce_report(13, cross_check=False)
         assert report.bound_bruteforce == best_g
         assert report.g_min == min_g
-        assert report.witness.to_bits() == best_code
+        assert to_bits(report.witness) == best_code
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_code_order_reference(self, n):
@@ -242,7 +242,7 @@ class TestBruteforceBound:
             report = bruteforce_report(n, cross_check=cross_check)
             assert report.bound_bruteforce == best_g
             assert report.g_min == min_g
-            assert report.witness.to_bits() == best_code
+            assert to_bits(report.witness) == best_code
 
     def test_sweep_dtype_holds_the_capped_range(self):
         # the even spectrum's word sums reach 2^(n-1), the widest values
@@ -253,11 +253,9 @@ class TestBruteforceBound:
 
     def test_cap_is_enforced(self):
         with pytest.raises(ValueError, match="2 <= n"):
-            bruteforce_bound(ENUMERATION_CAP + 1)
+            bruteforce_report(ENUMERATION_CAP + 1)
         with pytest.raises(ValueError, match="2 <= n"):
-            bruteforce_bound(1)
-        with pytest.raises(ValueError, match="2 <= n"):
-            bruteforce_bound(5, cap=4)
+            bruteforce_report(1)
 
     @pytest.mark.parametrize("n", [11, 12, 13])
     def test_cross_check_exhaustive_beyond_ten(self, n):
@@ -309,6 +307,15 @@ class TestHalfgroupSums:
     def test_rejects_codes_out_of_range(self, bad):
         with pytest.raises(ValueError, match="encoded assignments"):
             halfgroup_sums(4, np.array([0, bad], dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [HVKN_LIMIT + 1, 31, 32])
+    def test_rejects_sizes_beyond_limit_before_building_arrays(self, n, monkeypatch):
+        def refuse(k: int, odd: bool) -> np.ndarray:
+            raise AssertionError(f"spectrum built at n = {k}")
+
+        monkeypatch.setattr(kslab.hv_oracle, "_spectrum", refuse)
+        with pytest.raises(ValueError, match=rf"1 <= n <= {HVKN_LIMIT}, got {n}"):
+            halfgroup_sums(n, np.array([0], dtype=np.int64))
 
 
 class TestSpectrum:

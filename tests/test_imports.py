@@ -62,17 +62,17 @@ PUBLIC_NAMES = [
     "DenseState", "ENUMERATION_CAP", "FiniteHVModel", "GhzSuperposition",
     "HvknReport", "IdentityReport", "InequalityReport", "LambdaIndex",
     "PauliString", "ProductState", "VerificationError", "WernerState",
-    "apply_spectrally", "bell_fidelity", "bruteforce_bound", "bruteforce_report",
+    "apply_spectrally", "bell_fidelity", "bruteforce_report",
     "build_model", "check_D", "check_FUNC", "check_JD", "check_PROD",
     "check_indicator_pullback", "check_measure_lemma", "commutes",
     "decide_violation", "evaluate_experiment", "expectation", "f_value",
-    "g_value", "ghz_certificate", "group_product", "halfgroup_sums",
+    "g_value", "ghz_certificate", "halfgroup_sums",
     "indicator_matrix", "ingest_correlators", "lambda_element",
     "maximally_mixed", "multipartite_bound", "multipartite_report",
     "parse_state_spec", "pauli_mul", "peres_mermin_certificate", "pi_vector",
     "random_commuting_family", "random_density", "random_measure_space",
     "read_dense_state", "required_words", "run_fine_suite", "scan",
-    "scan_from_csv", "scan_to_csv", "scan_to_json", "spectrum_subsets",
+    "scan_to_csv", "scan_to_json", "spectrum_subsets",
     "to_density_matrix", "two_partite_report", "verify_hvkn",
     "verify_sum_identities", "write_dense_state",
 ]
