@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import math
 
@@ -104,39 +104,42 @@ def ingest_correlators(source: str | IO[str]) -> list[CorrelatorRecord]:
     return records
 
 
-def _required(kind: str, n: int) -> tuple[int, Iterator[str]]:
-    """Number of correlators an inequality needs, and their letter forms
-    produced lazily in index order."""
-    if kind == "two-partite":
-        if n != 2:
-            raise ValueError("two-partite inequality needs n = 2")
-        return 3, iter(["XX", "YY", "ZZ"])
-    if kind == "multipartite":
-        if not 2 <= n <= SITE_LIMIT:
-            raise ValueError(f"multipartite inequality needs 2 <= n <= {SITE_LIMIT}")
-        count = 1 << (n - 1)
-        return count, (lambda_element(LambdaIndex(n, p)).letters for p in range(count))
-    raise ValueError(f"unknown inequality kind {kind!r}; choose from {KINDS}")
-
-
-def required_words(kind: str, n: int) -> list[str]:
-    """Letter form of the correlators an inequality needs."""
-    return list(_required(kind, n)[1])
-
-
 def _is_half_word(word: str, n: int) -> bool:
     """True for the lower half-group words: I/Z strings of length n with
     an even number of Zs."""
     return len(word) == n and not word.strip("IZ") and word.count("Z") % 2 == 0
 
 
+def _required(kind: str, n: int) -> tuple[int, Callable[[str], bool], Iterator[str]]:
+    """Number of correlators an inequality needs, a test that is true
+    exactly for the words it needs, and those words in letter form,
+    produced lazily in index order."""
+    if kind == "two-partite":
+        if n != 2:
+            raise ValueError("two-partite inequality needs n = 2")
+        words = ("XX", "YY", "ZZ")
+        return 3, frozenset(words).__contains__, iter(words)
+    if kind == "multipartite":
+        if not 2 <= n <= SITE_LIMIT:
+            raise ValueError(f"multipartite inequality needs 2 <= n <= {SITE_LIMIT}")
+        count = 1 << (n - 1)
+        words = (lambda_element(LambdaIndex(n, p)).letters for p in range(count))
+        return count, lambda word: _is_half_word(word, n), words
+    raise ValueError(f"unknown inequality kind {kind!r}; choose from {KINDS}")
+
+
+def required_words(kind: str, n: int) -> list[str]:
+    """Letter form of the correlators an inequality needs."""
+    return list(_required(kind, n)[2])
+
+
 # Words quoted in a missing- or unknown-correlator error.
 _NAMED_WORDS = 4
 
 
-def _first_words(words: list[str]) -> str:
-    rest = len(words) - _NAMED_WORDS
-    return f"{words[:_NAMED_WORDS]}" + (f" and {rest} more" if rest > 0 else "")
+def _first_words(words: list[str], total: int) -> str:
+    rest = total - len(words)
+    return f"{words}" + (f" and {rest} more" if rest > 0 else "")
 
 
 def evaluate_experiment(
@@ -144,41 +147,35 @@ def evaluate_experiment(
 ) -> InequalityReport:
     """Signed sum of measured correlators against the classical bound.
 
-    The record count is compared with the required count first, so a
-    short file never makes the 2^{n-1} required words be built.  A
-    multipartite table of the right size is accepted by inspecting its
-    keys: the required words are exactly the even-weight I/Z strings of
-    length n.  The required word list is built only to name the missing
-    and unknown words of a table that fails.  The multipartite lhs is a
-    correctly rounded ``math.fsum``, so it does not depend on row order.
+    One rule for both kinds: words that fail the required-word test are
+    unknown, and the missing count is the required count less the words
+    that pass.  A short table is reported first, then missing words,
+    then unknown ones.  The required words are produced only to quote
+    the first few missing ones.  Sums run over the sorted words, and the
+    multipartite lhs is a correctly rounded ``math.fsum``, so it does
+    not depend on row order.
     """
     table = {record.letters: record for record in records}
-    count, words = _required(kind, n)
-    if len(table) < count:
-        missing = list(
-            itertools.islice((w for w in words if w not in table), _NAMED_WORDS)
-        )
+    count, needed, words = _required(kind, n)
+    unknown = sorted(word for word in table if not needed(word))
+    missing = count - (len(table) - len(unknown))
+    if missing:
+        named = list(itertools.islice((w for w in words if w not in table), _NAMED_WORDS))
+        if len(table) < count:
+            raise ValueError(
+                f"{kind} with n = {n} needs {count} correlators, got {len(table)}; "
+                f"missing correlators include {named}"
+            )
         raise ValueError(
-            f"{kind} with n = {n} needs {count} correlators, got {len(table)}; "
-            f"missing correlators include {missing}"
+            f"{missing} missing correlators {_first_words(named, missing)} for {kind}"
         )
-    if kind == "multipartite" and len(table) == count and all(
-        _is_half_word(word, n) for word in table
-    ):
-        # index order, as I < Z: hypot then sums the sigmas in a fixed order
-        required = sorted(table)
-    else:
-        required = list(words)
-        missing = [w for w in required if w not in table]
-        if missing:
-            raise ValueError(
-                f"{len(missing)} missing correlators {_first_words(missing)} for {kind}"
-            )
-        extra = sorted(set(table) - set(required))
-        if extra:
-            raise ValueError(
-                f"{len(extra)} unknown correlators {_first_words(extra)} for {kind}"
-            )
+    if unknown:
+        raise ValueError(
+            f"{len(unknown)} unknown correlators "
+            f"{_first_words(unknown[:_NAMED_WORDS], len(unknown))} for {kind}"
+        )
+    # I < Z and X < Y < Z: hypot sums the sigmas in a fixed order
+    required = sorted(table)
 
     if kind == "two-partite":
         lhs = (

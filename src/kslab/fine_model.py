@@ -142,10 +142,6 @@ class FiniteHVModel:
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
-    def omega_size(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > SUPPORT_ATOL)
 

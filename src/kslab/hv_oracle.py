@@ -96,7 +96,8 @@ def g_value(a: Assignment) -> int:
 
 @dataclass
 class BoundReport:
-    """Brute-force bound recovery with its witness and cross-check mode."""
+    """Brute-force bound recovery with its witness; ``cross_check`` is
+    always ``"exhaustive"``."""
 
     n: int
     bound_formula: float
@@ -203,26 +204,27 @@ def _mask_major_codes(k: int) -> np.ndarray:
     return ((entries >> k) ^ vy) | (vy << k)
 
 
-def bruteforce_report(
-    n: int,
-    workers: int | None = None,
-    cross_check: bool = True,
-) -> BoundReport:
-    """Evaluate g_value on all 4^n encoded assignments and reduce to its
-    extrema, sweeping a grid of half-site codes on one process.
+def bruteforce_report(n: int, workers: int | None = None) -> BoundReport:
+    """Evaluate g_value on all 4^n encoded assignments, check each value
+    against its product-rule word sum, and read the extrema from the
+    checked word sums, sweeping a grid of half-site codes on one process.
 
     With the sites split into a low and a high half, g = aL*aH - bL*bH,
     where (a, b) are a half's (Re, Im) of prod (vx + i*vy) times its
     prod vx (meet in the middle).  Rows of the grid are the 4^ceil(n/2)
     high-half codes in code order, columns the 4^floor(n/2) low-half
     codes grouped by word mask, and a block of whole rows is two outer
-    products of the half tables.  The cross-check compares every entry
-    with its product-rule word sum, the even spectrum at the word mask
-    (high-half mask, low-half mask); in a row those sums come in runs of
-    2^floor(n/2) equal entries, one per low-half mask.  A mismatch names
-    the smallest mismatching code, and the witness is the smallest code
-    attaining the maximum.  ``workers`` is validated and otherwise
-    ignored; ``elapsed`` covers the enumeration and its cross-check.
+    products of the half tables.  Every entry is compared with the even
+    spectrum at its word mask (high-half mask, low-half mask); in a row
+    those sums come in runs of 2^floor(n/2) equal entries, one per
+    low-half mask.  A mismatch names the smallest mismatching code.
+
+    Once every code has matched, g takes exactly the spectrum's values,
+    since every word mask m is hit.  The smallest code with mask m is m
+    itself (vx = m, vy all +1), so the witness, the smallest code
+    attaining the maximum, is the spectrum's first argmax.  ``workers``
+    is validated and otherwise ignored; ``elapsed`` covers the sweep and
+    its check.
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration needs 2 <= n <= {ENUMERATION_CAP}, got {n}")
@@ -237,22 +239,14 @@ def bruteforce_report(
     a_high, b_high = (t.astype(SWEEP_DTYPE) for t in _half_table(high_sites))
     code_low = _place(n, low_sites, 0, low)
     code_high = _place(n, high_sites, low_sites, high)
-    if cross_check:
-        spectrum = _spectrum(n, False).astype(SWEEP_DTYPE)
-        spectrum = spectrum.reshape(1 << high_sites, 1 << low_sites, 1)
-        mask_high = (high & ((1 << high_sites) - 1)) ^ (high >> high_sites)
+    spectrum = _spectrum(n, False)
+    expected = spectrum.astype(SWEEP_DTYPE).reshape(1 << high_sites, 1 << low_sites, 1)
+    mask_high = (high & ((1 << high_sites) - 1)) ^ (high >> high_sites)
 
     rows, cols = a_high.shape[0], a_low.shape[0]
     step = min(max(1, _BLOCK // cols), rows)
     g_buf = np.empty((step, cols), dtype=SWEEP_DTYPE)
     tmp_buf = np.empty_like(g_buf)
-
-    def smallest_code(hits: np.ndarray, first_row: int) -> int:
-        flat = np.flatnonzero(hits)
-        return int((code_high[first_row + flat // cols] + code_low[flat % cols]).min())
-
-    # |g| <= 2^(n/2), so the first block replaces both starting extrema
-    best_g, best_code, min_g = -(1 << n), 0, 1 << n
     total = bad_code = 1 << (2 * n)
     for begin in range(0, rows, step):
         end = min(begin + step, rows)
@@ -261,20 +255,11 @@ def bruteforce_report(
         np.multiply.outer(a_high[begin:end], a_low, out=g)
         np.multiply.outer(b_high[begin:end], b_low, out=tmp)
         g -= tmp
-        if cross_check:
-            runs = g.reshape(end - begin, 1 << low_sites, 1 << low_sites)
-            differ = runs != spectrum[mask_high[begin:end]]
-            if differ.any():
-                bad_code = min(bad_code, smallest_code(differ, begin))
-        top = int(g.max())
-        # rows run in vy-high groups, and a later group holds only larger codes
-        if top > best_g or (
-            top == best_g and begin >> high_sites <= best_code >> (n + low_sites)
-        ):
-            code = smallest_code(g == top, begin)
-            best_code = min(best_code, code) if top == best_g else code
-            best_g = top
-        min_g = min(min_g, int(g.min()))
+        runs = g.reshape(end - begin, 1 << low_sites, 1 << low_sites)
+        differ = np.flatnonzero(runs != expected[mask_high[begin:end]])
+        if differ.size:
+            codes = code_high[begin + differ // cols] + code_low[differ % cols]
+            bad_code = min(bad_code, int(codes.min()))
     elapsed = time.perf_counter() - started
     if bad_code < total:
         raise VerificationError(
@@ -282,6 +267,8 @@ def bruteforce_report(
             f"{Assignment.from_bits(n, bad_code)}"
         )
 
+    best_code = int(spectrum.argmax())
+    best_g = int(spectrum[best_code])
     witness = Assignment.from_bits(n, best_code)
     if g_value(witness) != best_g:
         raise VerificationError("witness does not attain the enumerated maximum")
@@ -295,10 +282,10 @@ def bruteforce_report(
         bound_formula=formula,
         bound_bruteforce=best_g,
         witness=witness,
-        g_min=min_g,
+        g_min=int(spectrum.min()),
         elapsed=elapsed,
         workers=1,
-        cross_check="exhaustive" if cross_check else "off",
+        cross_check="exhaustive",
     )
 
 
@@ -326,17 +313,6 @@ class ContradictionCertificate:
             "conclusion": self.conclusion,
             "dropped": self.dropped,
         }
-
-    def to_table(self) -> str:
-        lines = [f"scenario: {self.scenario}"]
-        for idx, (words, forced) in enumerate(self.constraints):
-            tag = "  (dropped)" if idx == self.dropped else ""
-            lines.append(
-                "  " + " * ".join(f"f({w})" for w in words) + f" = {forced:+d}{tag}"
-            )
-        lines.append(f"satisfying assignments: {self.satisfying_count} of {self.total_count}")
-        lines.append(self.conclusion)
-        return "\n".join(lines)
 
 
 def _forced_value(words: tuple[str, ...]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 from .pauli import SITE_LIMIT
@@ -62,7 +63,9 @@ def decide_violation(
     lhs: float, bound: float, uncertainty: float | None = None, k: float = 3.0
 ) -> bool:
     """Strict exceedance test: k standard errors with uncertainty, a fixed
-    guard band without."""
+    guard band without.  k must be finite and non-negative."""
+    if not (math.isfinite(k) and k >= 0):
+        raise ValueError(f"k must be finite and >= 0, got {k}")
     if uncertainty is not None and uncertainty > 0:
         return lhs - bound > k * uncertainty
     return lhs - bound > GUARD_BAND

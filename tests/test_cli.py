@@ -295,6 +295,15 @@ class TestCheck:
         assert payload["violated"] is False
         assert payload["k"] == 100.0
 
+    @pytest.mark.parametrize("k", ["-5", "nan", "inf"])
+    def test_bad_threshold_is_usage_error(self, capsys, tmp_path, k):
+        # lhs 1.95 lies below the bound 2, so no valid k reports a violation
+        path = self.write(tmp_path, "word,value,sigma\nXX,0.5,0.02\nYY,0.45,0.02\nZZ,0,0.02\n")
+        code, out, err = run_cli(capsys, "check", "--file", path, "--kind", "two", "--k", k)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "k must be finite and >= 0" in err
+
     def test_ghz_synthetic_matches_analytic(self, capsys, tmp_path):
         rho = to_density_matrix(GhzSuperposition(3, 2**-0.5, 2**-0.5))
         lines = ["word,value,sigma"]

@@ -49,7 +49,7 @@ def pi_z_model():
 class TestBuildModel:
     def test_pi_state_weights_and_joint_values(self):
         model = pi_z_model()
-        assert model.omega_size == 4
+        assert len(model.weights) == 4
         assert sorted(model.weights.tolist()) == pytest.approx([0.0, 0.0, 0.5, 0.5])
         support = model.support
         assert len(support) == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import numpy as np
@@ -183,17 +184,21 @@ class TestBruteforceBound:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_witness_is_smallest_maximizing_code(self, n):
         values = [g_value(a) for a in all_assignments(n)]
-        report = bruteforce_report(n, cross_check=False)
+        report = bruteforce_report(n)
         assert to_bits(report.witness) == values.index(max(values))
 
     def test_elementwise_cross_check_catches_one_bad_word_sum(self, monkeypatch):
         spectrum = np.array(_spectrum(4, False))
-        spectrum[5] += 2
-        monkeypatch.setattr(kslab.hv_oracle, "_spectrum", lambda n, odd: spectrum)
-        # the smallest code with word mask 0b0101 flips vx on sites 0 and 2
-        with pytest.raises(VerificationError, match=r"vx=\(-1, 1, -1, 1\), vy=\(1, 1, 1, 1\)"):
-            bruteforce_report(4)
-        assert bruteforce_report(4, cross_check=False).cross_check == "off"
+        assert spectrum.argmax() == 3
+        # the smallest code with word mask 0b0101 flips vx on sites 0 and 2;
+        # mask 0b0011 holds the maximum, and raising it must fail the
+        # check, never come back as a larger bound
+        for mask, vx in ((5, "-1, 1, -1, 1"), (3, "-1, -1, 1, 1")):
+            doctored = spectrum.copy()
+            doctored[mask] += 2
+            monkeypatch.setattr(kslab.hv_oracle, "_spectrum", lambda n, odd: doctored)
+            with pytest.raises(VerificationError, match=rf"vx=\({vx}\), vy=\(1, 1, 1, 1\)"):
+                bruteforce_report(4)
 
     @pytest.mark.parametrize(
         "n, entries",
@@ -214,35 +219,13 @@ class TestBruteforceBound:
             bruteforce_report(n)
         assert str(grid.value) == str(reference.value)
 
-    def test_witness_tie_in_a_later_block(self, monkeypatch):
-        # stand-in half tables at n = 13 (6 low sites, 7 high): block 0
-        # first reaches the maximum 2 at row 0 only where vy_0 = -1, and
-        # the smallest code reaching it sits in row 20 of block 1
-        a_low, b_low = np.zeros(1 << 12, np.int64), np.zeros(1 << 12, np.int64)
-        a_low[1 << 6] = 2  # vy_0 = -1
-        b_low[5] = 2  # vx_0 = vx_2 = -1
-        a_high, b_high = np.zeros(1 << 14, np.int64), np.zeros(1 << 14, np.int64)
-        a_high[0] = 1
-        a_high[20], b_high[20] = 1, -1  # vx_8 = vx_10 = -1
-        tables = {6: (a_low, b_low), 7: (a_high, b_high)}
-        monkeypatch.setattr(kslab.hv_oracle, "_half_table", tables.__getitem__)
-        best_g, best_code, min_g = bruteforce_reference(13, cross_check=False)
-        assert (best_g, best_code) == (2, (20 << 6) | 5)
-        monkeypatch.setattr(kslab.hv_oracle, "g_value", lambda a: best_g)
-        monkeypatch.setattr(kslab.hv_oracle, "multipartite_bound", lambda n: float(best_g))
-        report = bruteforce_report(13, cross_check=False)
-        assert report.bound_bruteforce == best_g
-        assert report.g_min == min_g
-        assert to_bits(report.witness) == best_code
-
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_code_order_reference(self, n):
         best_g, best_code, min_g = bruteforce_reference(n, cross_check=False)
-        for cross_check in (True, False):
-            report = bruteforce_report(n, cross_check=cross_check)
-            assert report.bound_bruteforce == best_g
-            assert report.g_min == min_g
-            assert to_bits(report.witness) == best_code
+        report = bruteforce_report(n)
+        assert report.bound_bruteforce == best_g
+        assert report.g_min == min_g
+        assert to_bits(report.witness) == best_code
 
     def test_sweep_dtype_holds_the_capped_range(self):
         # the even spectrum's word sums reach 2^(n-1), the widest values
@@ -263,8 +246,9 @@ class TestBruteforceBound:
         assert report.cross_check == "exhaustive"
         assert report.bound_bruteforce == int(multipartite_bound(n))
 
-    def test_cross_check_can_be_skipped(self):
-        assert bruteforce_report(4, cross_check=False).cross_check == "off"
+    def test_takes_only_the_site_count_and_workers(self):
+        # no parameter can skip the cross-check
+        assert list(inspect.signature(bruteforce_report).parameters) == ["n", "workers"]
 
     def test_report_serialization(self):
         data = bruteforce_report(3).to_dict()
@@ -390,10 +374,6 @@ class TestCertificates:
         data = cert.to_dict()
         assert data["constraints"][0] == {"words": ["XX", "YY", "ZZ"], "forced": -1}
         assert data["satisfying_count"] == 0
-        table = cert.to_table()
-        assert "f(XX) * f(YY) * f(ZZ) = -1" in table
-        assert "0 of 32" in table
-        assert "(dropped)" in peres_mermin_certificate(drop=1).to_table()
 
 
 # Word masks whose family spectrum entry ``doctor_spectra`` spoils, at

@@ -56,6 +56,15 @@ class TestDecideViolation:
         # boundary is strict
         assert not decide_violation(2.3, 2.0, uncertainty=0.1, k=3.0)
 
+    @pytest.mark.parametrize("k", [-5.0, -1e-300, float("nan"), float("inf")])
+    @pytest.mark.parametrize("uncertainty", [None, 0.1])
+    def test_threshold_must_be_finite_and_non_negative(self, k, uncertainty):
+        with pytest.raises(ValueError, match="k must be finite"):
+            decide_violation(1.95, 2.0, uncertainty, k)
+
+    def test_zero_threshold_is_allowed(self):
+        assert decide_violation(2.0 + 1e-6, 2.0, uncertainty=0.1, k=0.0)
+
     def test_zero_uncertainty_falls_back_to_guard_band(self):
         assert decide_violation(2.0 + 1e-6, 2.0, uncertainty=0.0)
         assert not decide_violation(2.0 + 1e-12, 2.0, uncertainty=0.0)
