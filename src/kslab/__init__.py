@@ -16,6 +16,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "certificates": (
+        "ContradictionCertificate",
+        "ghz_certificate",
+        "peres_mermin_certificate",
+    ),
     "errors": ("VerificationError",),
     "experiment": (
         "CorrelatorRecord",
@@ -43,13 +48,10 @@ _EXPORTS = {
         "ENUMERATION_CAP",
         "Assignment",
         "BoundReport",
-        "ContradictionCertificate",
         "HvknReport",
         "bruteforce_report",
         "g_value",
-        "ghz_certificate",
         "halfgroup_sums",
-        "peres_mermin_certificate",
         "verify_hvkn",
     ),
     "inequalities": (

@@ -4,39 +4,21 @@ Every subcommand prints a machine-readable report to stdout.  Exit codes
 form a stable contract: 0 on success, 2 when a verification check fails,
 1 on usage or input errors.
 
-Only the array routes import numpy: ``hv_oracle`` and ``fine_model`` are
-imported inside the handlers that run them, and the remaining modules
-import numpy inside their array-building functions.  ``scan``,
-``violate`` on ``ghz:`` and ``product:`` states, ``bound`` without
-``--bruteforce`` and ``check`` run without it.
+Building the parser loads no kslab module but ``errors``: each handler
+imports what its route runs, and numpy loads only where arrays do the
+work.  ``scan``, ``check``, ``bound`` without ``--bruteforce``,
+``violate`` on ``ghz:``, ``product:`` and ``werner:`` states and
+``verify --suite certificates`` run without it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Any, Sequence
 
 from .errors import VerificationError
-from .experiment import evaluate_experiment, ingest_correlators
-from .inequalities import (
-    multipartite_bound,
-    multipartite_report,
-    scan,
-    scan_to_csv,
-    scan_to_json,
-    two_partite_report,
-)
-from .pauli import (
-    GROUP_LIMIT,
-    LambdaIndex,
-    closure_break,
-    lambda_element,
-    verify_sum_identities,
-)
-from .states import parse_state_spec
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -50,7 +32,16 @@ Payload = dict[str, Any] | None
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage failures exit 1 instead of argparse's default 2."""
+    """Parser whose usage failures exit 1 instead of argparse's default 2, and
+    which reads every negative float literal (-1e3, -inf, -nan) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        import re
+
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.I
+        )
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -59,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_group(args: argparse.Namespace) -> tuple[Payload, bool]:
+    from .pauli import GROUP_LIMIT, LambdaIndex, closure_break, lambda_element
+
     n = args.n
     if not 1 <= n <= GROUP_LIMIT:
         raise ValueError(f"group tables need 1 <= n <= {GROUP_LIMIT}, got {n}")
@@ -81,6 +74,8 @@ def _cmd_group(args: argparse.Namespace) -> tuple[Payload, bool]:
 
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[Payload, bool]:
+    from .inequalities import multipartite_bound
+
     payload: dict[str, Any] = {"n": args.n, "bound": multipartite_bound(args.n)}
     if args.bruteforce:
         from .hv_oracle import bruteforce_report
@@ -92,6 +87,9 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[Payload, bool]:
 
 
 def _cmd_violate(args: argparse.Namespace) -> tuple[Payload, bool]:
+    from .inequalities import multipartite_report, two_partite_report
+    from .states import parse_state_spec
+
     state = parse_state_spec(args.state)
     kind = args.kind or ("two" if state.n == 2 else "multi")
     if kind == "two":
@@ -105,6 +103,8 @@ def _cmd_violate(args: argparse.Namespace) -> tuple[Payload, bool]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[Payload, bool]:
+    from .inequalities import scan, scan_to_csv, scan_to_json
+
     rows = scan(args.n_min, args.n_max)
     text = scan_to_csv(rows) if args.format == "csv" else scan_to_json(rows)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -112,6 +112,8 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[Payload, bool]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[Payload, bool]:
+    from .experiment import evaluate_experiment, ingest_correlators
+
     with open(args.file, encoding="utf-8") as handle:
         records = ingest_correlators(handle)
     if not records:
@@ -124,6 +126,10 @@ def _cmd_check(args: argparse.Namespace) -> tuple[Payload, bool]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[Payload, bool]:
     if args.suite == "identities":
+        import dataclasses
+
+        from .pauli import verify_sum_identities
+
         reports = [verify_sum_identities(n) for n in _SUITE_RANGE]
         ok = all(r.ok for r in reports)
         detail = [dataclasses.asdict(r) for r in reports]
@@ -139,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[Payload, bool]:
         suite = run_fine_suite()
         return suite, bool(suite["ok"])
     else:
-        from .hv_oracle import ghz_certificate, peres_mermin_certificate
+        from .certificates import ghz_certificate, peres_mermin_certificate
 
         certificates = [peres_mermin_certificate(), ghz_certificate()]
         ok = all(c.satisfying_count == 0 for c in certificates)

@@ -6,12 +6,11 @@ Compound-word values are always derived by the product rule, carrying
 each word's intrinsic sign.  This module recovers the classical bound by
 evaluating every assignment (a grid of high-half by low-half site
 codes, swept a block of rows at a time as outer products of half-site
-tables), produces enumeration certificates for the two standard
-contradiction scenarios, and verifies the assignment identity behind the
-bound in exact integer arithmetic, a fixed-size block of codes at a
-time: all 4^n codes when they fit the budget, otherwise a sample read
-from ``random.Random(104729)`` as the low 2n bits of each little-endian
-64-bit word, so memory stays flat in the budget.
+tables), and verifies the assignment identity behind the bound in exact
+integer arithmetic, a fixed-size block of codes at a time: all 4^n codes
+when they fit the budget, otherwise a sample read from
+``random.Random(104729)`` as the low 2n bits of each little-endian 64-bit
+word, so memory stays flat in the budget.
 
 The signed word sums over a family half, sum_q s_q (-1)^popcount(m & z_q),
 are read from that half's Walsh-Hadamard spectrum: one O(n 2^n)
@@ -20,7 +19,6 @@ transform per n and family, then one lookup per word mask.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -31,7 +29,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .inequalities import multipartite_bound
-from .pauli import PauliString, commutes, half_zmasks, pauli_mul, walsh_hadamard
+from .pauli import half_zmasks, walsh_hadamard
 
 # 2^28 assignments; the grid sweep with its cross-check takes under a
 # second on one core.
@@ -286,121 +284,6 @@ def bruteforce_report(n: int, workers: int | None = None) -> BoundReport:
         elapsed=elapsed,
         workers=1,
         cross_check="exhaustive",
-    )
-
-
-@dataclass(frozen=True)
-class ContradictionCertificate:
-    """Outcome of enumerating every candidate value assignment against a
-    set of forced operator products."""
-
-    scenario: str
-    constraints: tuple[tuple[tuple[str, ...], int], ...]
-    satisfying_count: int
-    total_count: int
-    conclusion: str
-    dropped: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "constraints": [
-                {"words": list(words), "forced": forced}
-                for words, forced in self.constraints
-            ],
-            "satisfying_count": self.satisfying_count,
-            "total_count": self.total_count,
-            "conclusion": self.conclusion,
-            "dropped": self.dropped,
-        }
-
-
-def _forced_value(words: tuple[str, ...]) -> int:
-    """Sign of the operator product, which any value assignment must match."""
-    parsed = [PauliString.from_text("+" + w) for w in words]
-    for a, b in itertools.combinations(parsed, 2):
-        if not commutes(a, b):
-            raise VerificationError(f"constraint words {words} do not all commute")
-    acc = parsed[0]
-    for word in parsed[1:]:
-        acc = pauli_mul(acc, word)
-    if not acc.is_identity_word or acc.sign_exp not in (0, 2):
-        raise VerificationError(f"product of {words} is not +/-identity: {acc.to_text()}")
-    return {0: 1, 2: -1}[acc.sign_exp]
-
-
-def _certificate(
-    scenario: str,
-    constraint_words: tuple[tuple[str, ...], ...],
-    free_words: tuple[str, ...],
-    drop: int | None,
-) -> ContradictionCertificate:
-    constraints = tuple((words, _forced_value(words)) for words in constraint_words)
-    if drop is not None and not 0 <= drop < len(constraints):
-        raise ValueError(f"drop index {drop} out of range")
-    active = [c for i, c in enumerate(constraints) if i != drop]
-
-    n_sites = len(constraint_words[0][0])
-    count = 0
-    for site_values in itertools.product((1, -1), repeat=2 * n_sites):
-        x = site_values[:n_sites]
-        y = site_values[n_sites:]
-        for free_values in itertools.product((1, -1), repeat=len(free_words)):
-            free = dict(zip(free_words, free_values))
-
-            def value(word: str) -> int:
-                if word in free:
-                    return free[word]
-                return math.prod(
-                    x[j] if c == "X" else y[j] for j, c in enumerate(word)
-                )
-
-            if all(
-                math.prod(value(w) for w in words) == forced
-                for words, forced in active
-            ):
-                count += 1
-    total = 1 << (2 * n_sites + len(free_words))
-
-    if drop is None:
-        conclusion = (
-            f"no assignment satisfies all forced products ({count} of {total}); "
-            "the site values admit no noncontextual completion"
-        )
-    else:
-        conclusion = (
-            f"{count} of {total} assignments satisfy the remaining constraints; "
-            "every constraint is needed for the contradiction"
-        )
-    return ContradictionCertificate(
-        scenario=scenario,
-        constraints=constraints,
-        satisfying_count=count,
-        total_count=total,
-        conclusion=conclusion,
-        dropped=drop,
-    )
-
-
-def peres_mermin_certificate(drop: int | None = None) -> ContradictionCertificate:
-    """Two-site square: the joint ZZ value is a free sign, the four
-    transverse words factorize into site values."""
-    return _certificate(
-        scenario="peres-mermin",
-        constraint_words=(("XX", "YY", "ZZ"), ("XY", "YX", "ZZ")),
-        free_words=("ZZ",),
-        drop=drop,
-    )
-
-
-def ghz_certificate(drop: int | None = None) -> ContradictionCertificate:
-    """Three-site scenario: all four words factorize, and their factorized
-    product telescopes to +1 for every one of the 64 assignments."""
-    return _certificate(
-        scenario="ghz",
-        constraint_words=(("XYY", "YXY", "YYX", "XXX"),),
-        free_words=(),
-        drop=drop,
     )
 
 

@@ -318,8 +318,25 @@ def f_value(state: StateModel) -> float:
     raise TypeError(f"not a state model: {type(state).__name__}")
 
 
+def _pi_overlap(state: StateModel) -> float:
+    """<pi|rho|pi> = (rho_01,01 + rho_10,10 + 2 Re rho_01,10)/2, read from
+    the matrix entries of a two-site state; numpy only for a dense one."""
+    if isinstance(state, WernerState):
+        return state.lam + (1 - state.lam) / 4
+    if isinstance(state, GhzSuperposition):
+        return 0.0  # alpha|00> + beta|11> has no 01 or 10 entry
+    if isinstance(state, ProductState):
+        # entries of the site matrices (I + r.sigma)/2; rho = a (x) b
+        (xa, ya, za), (xb, yb, zb) = state.bloch
+        a00, a11, a01 = (1 + za) / 2, (1 - za) / 2, complex(xa, -ya) / 2
+        b00, b11, b10 = (1 + zb) / 2, (1 - zb) / 2, complex(xb, yb) / 2
+        return (a00 * b11 + a11 * b00 + 2 * (a01 * b10).real) / 2
+    pi = pi_vector()
+    return float((pi.conj() @ to_density_matrix(state) @ pi).real)
+
+
 def bell_fidelity(state: StateModel) -> float:
-    """Overlap with |pi>, computed two ways and cross-checked."""
+    """Overlap with |pi> from the correlators, cross-checked by ``_pi_overlap``."""
     if state.n != 2:
         raise ValueError("defined for two sites only")
     corr = (
@@ -328,10 +345,7 @@ def bell_fidelity(state: StateModel) -> float:
         + expectation(state, PauliString.from_text("+YY")).real
         - expectation(state, PauliString.from_text("+ZZ")).real
     ) / 4
-    import numpy as np
-
-    pi = pi_vector()
-    direct = float(np.real(pi.conj() @ to_density_matrix(state) @ pi))
+    direct = _pi_overlap(state)
     if abs(corr - direct) > ATOL_SCALAR:
         raise VerificationError(
             f"correlator route {corr!r} disagrees with overlap route {direct!r}"

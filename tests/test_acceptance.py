@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from oracle import oracle_matrix
 
+from kslab.certificates import ghz_certificate, peres_mermin_certificate
 from kslab.cli import main
 from kslab.experiment import required_words
 from kslab.fine_model import (
@@ -28,12 +29,7 @@ from kslab.fine_model import (
     random_measure_space,
     spectrum_subsets,
 )
-from kslab.hv_oracle import (
-    bruteforce_report,
-    ghz_certificate,
-    peres_mermin_certificate,
-    verify_hvkn,
-)
+from kslab.hv_oracle import bruteforce_report, verify_hvkn
 from kslab.inequalities import (
     multipartite_bound,
     multipartite_report,

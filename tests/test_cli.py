@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from oracle import oracle_matrix, scan_from_csv
 
-import kslab.cli
 import kslab.experiment
+import kslab.inequalities
 import kslab.pauli
 from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, main
 from kslab.experiment import required_words
@@ -81,7 +81,7 @@ class TestGroup:
                 return word
             return PauliString(word.n, word.z_mask, word.x_mask, 2)
 
-        monkeypatch.setattr(kslab.cli, "lambda_element", flipped)
+        monkeypatch.setattr(kslab.pauli, "lambda_element", flipped)
         code, out, _ = run_cli(capsys, "group", "--n", "3")
         payload = json.loads(out)
         assert code == EXIT_VERIFICATION
@@ -96,7 +96,7 @@ class TestGroup:
         def refuse(*args):
             raise AssertionError("group table built above the cap")
 
-        monkeypatch.setattr(kslab.cli, "lambda_element", refuse)
+        monkeypatch.setattr(kslab.pauli, "lambda_element", refuse)
         code, out, err = run_cli(capsys, "group", "--n", str(GROUP_LIMIT + 1))
         assert code == EXIT_USAGE
         assert out == ""
@@ -122,7 +122,7 @@ class TestBound:
         assert "error" in result.stderr
 
     def test_non_finite_payload_is_not_printed(self, capsys, monkeypatch):
-        monkeypatch.setattr(kslab.cli, "multipartite_bound", lambda n: float("nan"))
+        monkeypatch.setattr(kslab.inequalities, "multipartite_bound", lambda n: float("nan"))
         code, out, _ = run_cli(capsys, "bound", "--n", "4")
         assert code == EXIT_USAGE
         assert out == ""
@@ -295,7 +295,7 @@ class TestCheck:
         assert payload["violated"] is False
         assert payload["k"] == 100.0
 
-    @pytest.mark.parametrize("k", ["-5", "nan", "inf"])
+    @pytest.mark.parametrize("k", ["-5", "nan", "inf", "-inf", "-1e3", "-nan"])
     def test_bad_threshold_is_usage_error(self, capsys, tmp_path, k):
         # lhs 1.95 lies below the bound 2, so no valid k reports a violation
         path = self.write(tmp_path, "word,value,sigma\nXX,0.5,0.02\nYY,0.45,0.02\nZZ,0,0.02\n")

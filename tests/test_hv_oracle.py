@@ -20,6 +20,7 @@ from oracle import (
 )
 
 import kslab.hv_oracle
+from kslab.certificates import ghz_certificate, peres_mermin_certificate
 from kslab.errors import VerificationError
 from kslab.hv_oracle import (
     ENUMERATION_CAP,
@@ -30,9 +31,7 @@ from kslab.hv_oracle import (
     _spectrum,
     bruteforce_report,
     g_value,
-    ghz_certificate,
     halfgroup_sums,
-    peres_mermin_certificate,
     verify_hvkn,
 )
 from kslab.inequalities import multipartite_bound

@@ -1,6 +1,7 @@
 """Import costs and the package's public names.
 
-The analytic subcommands must run without importing numpy, the
+Each subcommand must load only the kslab modules its route runs, the
+analytic subcommands must run without importing numpy, the
 assignment checks without importing numpy.random, and the lazily
 resolved package must export exactly the names it always has.  The
 identity check's memory is measured against its module's import alone.
@@ -29,6 +30,23 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = kslab.cli.main(argv)
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+# Runs ``kslab.cli.main`` on the JSON argument list (none: build the
+# parser only) and reports its exit code and the sorted kslab modules,
+# and numpy, loaded by then.
+_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+import kslab.cli
+argv = json.loads(sys.argv[1])
+code = None
+with contextlib.redirect_stdout(io.StringIO()):
+    if argv:
+        code = kslab.cli.main(argv)
+    else:
+        kslab.cli.build_parser()
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "kslab")
+print(json.dumps({"code": code, "modules": loaded}))
 """
 
 # Runs a statement with stdout discarded and reports whether numpy and
@@ -78,9 +96,9 @@ PUBLIC_NAMES = [
 ]
 
 
-def probe(argv: list[str], env: dict[str, str]) -> dict:
+def probe(argv: list[str], env: dict[str, str], script: str = _PROBE) -> dict:
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        [sys.executable, "-c", script, json.dumps(argv)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stderr
@@ -109,6 +127,10 @@ NUMPY_FREE = {
     "bound": ["bound", "--n", "6"],
     "check-multi": ["check", "--file", "{multi}", "--kind", "multi"],
     "check-two": ["check", "--file", "{two}", "--kind", "two"],
+    "werner": ["violate", "--state", "werner:lambda=0.5"],
+    "product-two": ["violate", "--state", "product:+-"],
+    "ghz-two": ["violate", "--state", "ghz:n=2,alpha=0.6,beta=0.8"],
+    "certificates": ["verify", "--suite", "certificates"],
 }
 
 
@@ -121,11 +143,39 @@ def test_analytic_jobs_do_not_import_numpy(job, kslab_env, csv_files):
 
 @pytest.mark.parametrize(
     "argv",
-    [["group", "--n", "2"], ["violate", "--state", "werner:lambda=0.5"]],
+    [["group", "--n", "2"], ["bound", "--n", "4", "--bruteforce"]],
 )
 def test_array_jobs_do_import_numpy(argv, kslab_env):
     # the probe sees numpy when a job does load it
     assert probe(argv, kslab_env) == {"code": 0, "numpy": True}
+
+
+def test_parser_loads_no_handler_module(kslab_env):
+    assert probe([], kslab_env, _FOOTPRINT_PROBE) == {
+        "code": None, "modules": ["kslab", "kslab.cli", "kslab.errors"],
+    }
+
+
+# (arguments, modules the job must load, modules it must not load)
+FOOTPRINTS = {
+    "group": (["group", "--n", "3"], {"kslab.pauli"},
+              {"kslab.experiment", "kslab.inequalities", "kslab.states"}),
+    "check-multi": (["check", "--file", "{multi}", "--kind", "multi"], {"kslab.experiment"},
+                    {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates", "numpy"}),
+    "check-two": (["check", "--file", "{two}", "--kind", "two"], {"kslab.experiment"},
+                  {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates", "numpy"}),
+    "certificates": (["verify", "--suite", "certificates"], {"kslab.certificates"},
+                     {"kslab.hv_oracle", "numpy"}),
+}
+
+
+@pytest.mark.parametrize("job", sorted(FOOTPRINTS))
+def test_each_job_loads_only_its_route(job, kslab_env, csv_files):
+    argv, loaded, absent = FOOTPRINTS[job]
+    outcome = probe([arg.format(**csv_files) for arg in argv], kslab_env, _FOOTPRINT_PROBE)
+    assert outcome["code"] == 0
+    assert loaded <= set(outcome["modules"])
+    assert not absent & set(outcome["modules"])
 
 
 NUMPY_RANDOM_FREE = {

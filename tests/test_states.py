@@ -19,6 +19,7 @@ from oracle import (
     read_dense_reference,
 )
 
+import kslab.states
 from kslab.errors import VerificationError
 from kslab.pauli import (
     SITE_LIMIT,
@@ -32,6 +33,7 @@ from kslab.states import (
     GhzSuperposition,
     ProductState,
     WernerState,
+    _pi_overlap,
     bell_fidelity,
     expectation,
     f_value,
@@ -268,6 +270,43 @@ class TestBellFidelity:
     def test_wrong_site_count(self):
         with pytest.raises(ValueError):
             bell_fidelity(maximally_mixed(3))
+
+    @staticmethod
+    def matrix_overlap(state) -> float:
+        pi = pi_vector()
+        return float(np.real(pi.conj() @ to_density_matrix(state) @ pi))
+
+    def test_product_overlap_matches_matrix(self):
+        rng = np.random.default_rng(5)
+        states = [ProductState.from_pattern(p) for p in ("++", "+-", "-+", "--")]
+        for _ in range(200):  # uniform in the ball: a normal direction, radius u^(1/3)
+            vecs = rng.standard_normal((2, 3))
+            vecs *= (rng.random(2) ** (1 / 3) / np.linalg.norm(vecs, axis=1))[:, None]
+            states.append(ProductState(tuple(map(tuple, vecs))))
+        for state in states:
+            assert _pi_overlap(state) == pytest.approx(self.matrix_overlap(state), abs=1e-12)
+            assert bell_fidelity(state) == pytest.approx(_pi_overlap(state), abs=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.2, 1 / 3, 0.5, 0.7, 0.9, 1.0])
+    def test_werner_overlap_matches_matrix(self, lam):
+        state = WernerState(lam)
+        assert _pi_overlap(state) == pytest.approx(self.matrix_overlap(state), abs=1e-12)
+
+    def test_ghz_overlap_matches_matrix(self):
+        rng = np.random.default_rng(6)
+        for theta, phi, chi in rng.uniform(0, 2 * np.pi, (50, 3)):
+            state = GhzSuperposition(
+                2, np.cos(theta) * np.exp(1j * phi), np.sin(theta) * np.exp(1j * chi)
+            )
+            assert _pi_overlap(state) == pytest.approx(self.matrix_overlap(state), abs=1e-12)
+            assert bell_fidelity(state) == pytest.approx(0.0, abs=1e-10)
+
+    def test_numpy_free_route_still_catches_a_wrong_correlator(self, monkeypatch):
+        monkeypatch.setattr(
+            kslab.states, "_PI_LETTER_TABLE", {"II": 1.0, "XX": 1.0, "YY": 1.0, "ZZ": 1.0}
+        )
+        with pytest.raises(VerificationError, match="disagrees with overlap route"):
+            bell_fidelity(WernerState(0.5))
 
     def test_pi_vector_matches_oracle(self):
         np.testing.assert_allclose(pi_vector(), oracle_pi_vector(), atol=1e-15)
