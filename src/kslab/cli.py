@@ -77,6 +77,8 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[Payload, bool]:
     from .inequalities import multipartite_bound
 
     payload: dict[str, Any] = {"n": args.n, "bound": multipartite_bound(args.n)}
+    if args.workers is not None and args.workers < 1:
+        raise ValueError("workers must be >= 1")
     if args.bruteforce:
         from .hv_oracle import bruteforce_report
 
@@ -114,8 +116,7 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[Payload, bool]:
 def _cmd_check(args: argparse.Namespace) -> tuple[Payload, bool]:
     from .experiment import evaluate_experiment, ingest_correlators
 
-    with open(args.file, encoding="utf-8") as handle:
-        records = ingest_correlators(handle)
+    records = ingest_correlators(args.file)
     if not records:
         raise ValueError(f"no correlator rows in {args.file!r}")
     report = evaluate_experiment(

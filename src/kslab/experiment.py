@@ -77,8 +77,12 @@ def ingest_correlators(source: str | IO[str]) -> list[CorrelatorRecord]:
     """Parse a correlator CSV; duplicates and malformed lines are errors."""
     if isinstance(source, str):
         with open(source, encoding="utf-8", newline="") as fh:
-            return ingest_correlators(fh)
-    rows = csv_records(source)
+            return _read_correlators(fh)
+    return _read_correlators(source)
+
+
+def _read_correlators(lines: Iterable[str]) -> list[CorrelatorRecord]:
+    rows = csv_records(lines)
     try:
         _, header = next(rows)
     except StopIteration:

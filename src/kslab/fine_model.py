@@ -6,6 +6,8 @@ each registered operator contributes the vector of its eigenvalues
 f_A(omega).  The check_* functions compare the classical probability
 rules (distribution, joint distribution, composition, products) against
 dense quantum traces computed through independent eigendecompositions.
+Both sides of every check assign values to spectral points by the one
+_CLUSTER_GAP rule: neighbouring reals within the gap share a point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import VerificationError
-from .pauli import LambdaIndex, PauliString, commutes, lambda_element
+from .pauli import LambdaIndex, PauliString, lambda_element
 from .states import (
     DenseState,
     GhzSuperposition,
@@ -60,56 +62,59 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _runs(ordered: np.ndarray) -> list[np.ndarray]:
+    """Index runs of ascending reals whose neighbours lie within _CLUSTER_GAP."""
+    x = ordered.tolist()
+    cuts = [0, *(i for i in range(1, len(x)) if x[i] - x[i - 1] > _CLUSTER_GAP), len(x)]
+    return [np.arange(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _near(x, delta: Iterable[float]) -> np.ndarray | np.bool_:
+    """Whether x (elementwise) lies within _CLUSTER_GAP of a point of delta."""
+    diffs = np.asarray(x, dtype=float)[..., None] - np.asarray(list(delta), dtype=float)
+    return np.any(np.abs(diffs) < _CLUSTER_GAP, axis=-1)
+
+
 def _cluster(values: np.ndarray) -> np.ndarray:
     """Snap near-equal reals to one representative per spectral point."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values)
     ordered = values[order]
     out = np.empty_like(values)
-    start = 0
-    for i in range(1, len(ordered) + 1):
-        if i == len(ordered) or ordered[i] - ordered[i - 1] > _CLUSTER_GAP:
-            rep = float(ordered[start:i].mean())
-            if abs(rep - round(rep)) < 1e-9:
-                rep = float(round(rep))
-            out[order[start:i]] = rep
-            start = i
+    for run in _runs(ordered):
+        rep = float(ordered[run].mean())
+        out[order[run]] = float(round(rep)) if abs(rep - round(rep)) < 1e-9 else rep
     return out
-
-
-def _member_mask(values: np.ndarray, delta: Iterable[float]) -> np.ndarray:
-    targets = list(delta)
-    mask = np.zeros(len(values), dtype=bool)
-    for d in targets:
-        mask |= np.abs(values - d) < _CLUSTER_GAP
-    return mask
 
 
 def _spectral_pairs(matrix: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """(eigenvalue, projector) pairs from a fresh eigendecomposition."""
     eigvals, eigvecs = np.linalg.eigh(_hermitize(matrix))
     snapped = _cluster(eigvals)
-    pairs = []
-    for value in sorted(set(snapped.tolist())):
-        cols = eigvecs[:, snapped == value]
-        pairs.append((value, cols @ cols.conj().T))
-    return pairs
+    return [
+        (float(snapped[run[0]]), eigvecs[:, run] @ eigvecs[:, run].conj().T)
+        for run in _runs(eigvals)
+    ]
+
+
+def _spectral_sum(matrix: np.ndarray, weight: Callable[[float], float]) -> np.ndarray:
+    """The sum of weight(x) P_x over the spectral points x of matrix."""
+    out = np.zeros(matrix.shape, dtype=complex)
+    for value, proj in _spectral_pairs(matrix):
+        out += weight(value) * proj
+    return out
 
 
 def _projector(matrix: np.ndarray, delta: Iterable[float]) -> np.ndarray:
-    out = np.zeros(matrix.shape, dtype=complex)
-    targets = list(delta)
-    for value, proj in _spectral_pairs(matrix):
-        if any(abs(value - d) < _CLUSTER_GAP for d in targets):
-            out += proj
-    return out
+    delta = list(delta)
+    return _spectral_sum(matrix, lambda x: _near(x, delta))
 
 
 def _g_at(g: Mapping[float, float] | Callable[[float], float], x: float) -> float:
     if callable(g):
         return float(g(x))
     best = min(g, key=lambda key: abs(key - x))
-    if abs(best - x) >= _CLUSTER_GAP:
+    if not _near(x, (best,)):
         raise ValueError(f"function table does not cover spectrum value {x}")
     return float(g[best])
 
@@ -118,11 +123,7 @@ def apply_spectrally(
     operator: Operator, g: Mapping[float, float] | Callable[[float], float]
 ) -> np.ndarray:
     """g(A) assembled from A's spectral decomposition."""
-    matrix = _as_matrix(operator)
-    out = np.zeros(matrix.shape, dtype=complex)
-    for value, proj in _spectral_pairs(matrix):
-        out += _g_at(g, value) * proj
-    return _hermitize(out)
+    return _hermitize(_spectral_sum(_as_matrix(operator), lambda x: _g_at(g, x)))
 
 
 def indicator_matrix(operator: Operator, delta: Iterable[float]) -> np.ndarray:
@@ -185,18 +186,9 @@ class FiniteHVModel:
         return values
 
 
-def _require_commuting(family: Sequence[Operator], matrices: Sequence[np.ndarray]) -> None:
-    for i, j in itertools.combinations(range(len(family)), 2):
-        a, b = family[i], family[j]
-        if isinstance(a, PauliString) and isinstance(b, PauliString):
-            if not commutes(a, b):
-                raise ValueError(
-                    f"family members {i} and {j} do not commute: "
-                    f"{a.to_text()} vs {b.to_text()}"
-                )
-            continue
-        ma, mb = matrices[i], matrices[j]
-        if np.max(np.abs(ma @ mb - mb @ ma)) > ATOL_COMMUTATOR:
+def _require_commuting(matrices: Sequence[np.ndarray]) -> None:
+    for (i, a), (j, b) in itertools.combinations(enumerate(matrices), 2):
+        if np.max(np.abs(a @ b - b @ a)) > ATOL_COMMUTATOR:
             raise ValueError(f"family members {i} and {j} do not commute")
 
 
@@ -231,7 +223,7 @@ def build_model(
         raise ValueError(
             f"state dimension {rho.shape[0]} does not match the family ({dim})"
         )
-    _require_commuting(family, matrices)
+    _require_commuting(matrices)
     if names is None:
         names = _default_names(family)
     if len(names) != len(family) or len(set(names)) != len(names):
@@ -242,7 +234,7 @@ def build_model(
         sum(c * m for c, m in zip(rng.standard_normal(len(matrices)), matrices))
     )
     eigvals, basis = np.linalg.eigh(combo)
-    blocks = _blocks_from(_cluster(eigvals))
+    blocks = _runs(eigvals)
     for matrix in matrices:
         new_blocks: list[np.ndarray] = []
         for idx in blocks:
@@ -253,8 +245,7 @@ def build_model(
             block = _hermitize(sub.conj().T @ matrix @ sub)
             block_vals, rotation = np.linalg.eigh(block)
             basis[:, idx] = sub @ rotation
-            for piece in _blocks_from(_cluster(block_vals)):
-                new_blocks.append(idx[piece])
+            new_blocks.extend(idx[piece] for piece in _runs(block_vals))
         blocks = new_blocks
 
     weights = np.maximum(np.real(np.diag(basis.conj().T @ rho @ basis)), 0.0)
@@ -267,21 +258,10 @@ def build_model(
     return model
 
 
-def _blocks_from(snapped: np.ndarray) -> list[np.ndarray]:
-    """Consecutive index runs sharing a snapped value (input is sorted)."""
-    out = []
-    start = 0
-    for i in range(1, len(snapped) + 1):
-        if i == len(snapped) or snapped[i] != snapped[start]:
-            out.append(np.arange(start, i))
-            start = i
-    return out
-
-
 def check_D(model: FiniteHVModel, a: str, delta: Iterable[float]) -> bool:
     """mu(f_A in delta) against the projector trace."""
     delta = list(delta)
-    classical = float(model.weights[_member_mask(model.value_table[a], delta)].sum())
+    classical = float(model.weights[_near(model.value_table[a], delta)].sum())
     quantum = float(np.real(np.trace(model.rho @ _projector(model.matrices[a], delta))))
     return abs(classical - quantum) <= ATOL_TRACE
 
@@ -295,9 +275,7 @@ def check_JD(
 ) -> bool:
     """Joint membership measure against the product-projector trace."""
     delta_a, delta_b = list(delta_a), list(delta_b)
-    mask = _member_mask(model.value_table[a], delta_a) & _member_mask(
-        model.value_table[b], delta_b
-    )
+    mask = _near(model.value_table[a], delta_a) & _near(model.value_table[b], delta_b)
     classical = float(model.weights[mask].sum())
     quantum = float(
         np.real(
@@ -397,10 +375,7 @@ def check_indicator_pullback(
     delta = list(delta)
 
     direct = float(np.real(np.trace(rho @ _projector(apply_spectrally(matrix, g), delta))))
-    pullback_proj = np.zeros(matrix.shape, dtype=complex)
-    for value, proj in _spectral_pairs(matrix):
-        if any(abs(_g_at(g, value) - d) < _CLUSTER_GAP for d in delta):
-            pullback_proj += proj
+    pullback_proj = _spectral_sum(matrix, lambda x: _near(_g_at(g, x), delta))
     pulled = float(np.real(np.trace(rho @ pullback_proj)))
     return abs(direct - pulled) <= ATOL_PULLBACK
 

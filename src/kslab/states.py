@@ -369,24 +369,27 @@ def parse_state_spec(spec: str) -> StateModel:
         if not rest.startswith("@"):
             raise ValueError("dense spec must reference a file: dense:@path")
         return read_dense_state(rest[1:])
+    names = {"ghz": ("n", "alpha", "beta"), "werner": ("lambda",)}.get(kind)
+    if names is None:
+        raise ValueError(f"unknown state kind {kind!r}")
     fields = {}
     for item in rest.split(","):
         key, eq, value = item.partition("=")
         if not eq or not key or not value:
             raise ValueError(f"malformed field {item!r} in state spec {spec!r}")
-        fields[key.strip()] = value.strip()
-    try:
-        if kind == "ghz":
-            return GhzSuperposition(
-                int(fields.pop("n")),
-                complex(fields.pop("alpha")),
-                complex(fields.pop("beta")),
-            )
-        if kind == "werner":
-            return WernerState(float(fields.pop("lambda")))
-    except KeyError as exc:
-        raise ValueError(f"state spec {spec!r} is missing field {exc}") from None
-    raise ValueError(f"unknown state kind {kind!r}")
+        key = key.strip()
+        if key in fields or key not in names:
+            problem = "repeated" if key in fields else "unknown"
+            raise ValueError(f"{problem} field {key!r} in state spec {spec!r}")
+        fields[key] = value.strip()
+    for key in names:
+        if key not in fields:
+            raise ValueError(f"state spec {spec!r} is missing field {key!r}")
+    if kind == "ghz":
+        return GhzSuperposition(
+            int(fields["n"]), complex(fields["alpha"]), complex(fields["beta"])
+        )
+    return WernerState(float(fields["lambda"]))
 
 
 def read_dense_state(path: str) -> DenseState:

@@ -143,6 +143,13 @@ class TestBound:
         code, _, _ = run_cli(capsys, "bound", "--n", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_is_usage_error_without_bruteforce(self, capsys, workers):
+        code, out, err = run_cli(capsys, "bound", "--n", "4", "--workers", workers)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: workers must be >= 1" in err
+
 
 class TestViolate:
     def test_werner_half_violates(self, capsys):
@@ -184,6 +191,19 @@ class TestViolate:
         code, _, err = run_cli(capsys, "violate", "--state", "werner")
         assert code == EXIT_USAGE
         assert "kind prefix" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("ghz:n=3,alpha=0.6,beta=0.8,gamma=5", "unknown field 'gamma'"),
+            ("werner:lambda=0.5,lambda=0.9", "repeated field 'lambda'"),
+        ],
+    )
+    def test_unknown_or_repeated_field_is_usage_error(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "violate", "--state", spec)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
     def test_missing_dense_file_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "violate", "--state", "dense:@/no/such/file")

@@ -8,6 +8,10 @@ from oracle import LETTER, dense
 
 from kslab.errors import VerificationError
 from kslab.fine_model import (
+    _cluster,
+    _near,
+    _projector,
+    _spectral_pairs,
     apply_spectrally,
     build_model,
     check_D,
@@ -385,3 +389,31 @@ class TestSuite:
         assert report["failures"] == 0
         assert report["models"] >= 6
         assert report["checks"] >= 200
+
+    def test_fixed_battery_counts_are_exact(self):
+        assert run_fine_suite() == {
+            "suite": "fine", "models": 6, "checks": 225, "failures": 0, "ok": True
+        }
+
+
+class TestNearDegenerateSpectrum:
+    """Eigenvalues closer than the cluster gap form one spectral point, and
+    the classical and quantum sides of a check select the same points."""
+
+    def test_split_inside_the_gap_is_one_point(self):
+        eigenvalues = np.array([1.0, 1.0 + 5e-7, 2.0, 3.0])
+        a = np.diag(eigenvalues).astype(complex)
+        pairs = _spectral_pairs(a)
+        assert len(pairs) == 3
+        assert [round(float(np.real(np.trace(p)))) for _, p in pairs] == [2, 1, 1]
+        np.testing.assert_allclose(
+            _projector(a, (1.0,)), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12
+        )
+        mask = _near(_cluster(eigenvalues), (1.0,))
+        assert mask.tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("delta", [(1.0,), (1.0 + 5e-7,)])
+    def test_model_on_a_near_degenerate_operator(self, delta):
+        a = np.diag([1.0, 1.0 + 1e-10, 2.0, 3.0]).astype(complex)
+        model = build_model(random_density(2, np.random.default_rng(5)), [a])
+        assert check_D(model, "A0", delta)

@@ -437,6 +437,9 @@ class TestStateSpecLanguage:
             "werner:lam=0.5",
             "squeezed:r=1",
             "dense:/no/at/prefix",
+            "ghz:n=3,alpha=0.6,beta=0.8,gamma=5",
+            "werner:lambda=0.5,lambda=0.9",
+            "ghz:n=3,alpha=0.6,beta=0.8,n=4",
         ],
     )
     def test_rejects_malformed_specs(self, bad):
