@@ -1,0 +1,148 @@
+"""The golden CLI corpus: invocations whose argv, exit code, stdout and
+first stderr line are pinned, one JSON file per invocation, in
+``tests/golden/``.
+
+Every invocation runs in process through ``kslab.cli.main``, in a
+directory that holds the committed files of ``tests/golden/inputs/``
+and the large inputs built by ``GENERATED``, so that argv can name them
+by bare file name.  ``elapsed`` is masked in stdout.
+
+Regenerate every file with::
+
+    PYTHONPATH=src python tests/golden_corpus.py
+
+A regenerated file whose values changed records a change of the CLI
+contract, not a fix.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+from kslab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+# Inputs too large to commit, by file name.
+GENERATED = {
+    "oversized_field.csv": 'word,value,sigma\nXX,0.5,0\n"' + "Z" * 200_000 + '",0.5,0\n',
+    "oversized_header.csv": '"' + "w" * 200_000 + '",value,sigma\nZZ,0.25,0\n',
+}
+
+
+def _check(name: str, *argv: str) -> list[str]:
+    return ["check", "--file", name, *argv]
+
+
+def _dense(name: str, *argv: str) -> list[str]:
+    return ["violate", "--state", f"dense:@{name}", *argv]
+
+
+CASES: dict[str, list[str]] = {
+    "check_two": _check("werner.csv", "--kind", "two"),
+    "check_two_k20": _check("werner.csv", "--kind", "two", "--k", "20"),
+    "check_two_signed": _check("werner_signed.csv", "--kind", "two"),
+    "check_multi_ghz3": _check("ghz3.csv", "--kind", "multi"),
+    "check_multi_signed": _check("multi4_signed.csv", "--kind", "multi", "--k", "1"),
+    "check_field_count": _check("field_count.csv", "--kind", "two"),
+    "check_bad_value": _check("bad_value.csv", "--kind", "two"),
+    "check_bad_sigma": _check("bad_sigma.csv", "--kind", "two"),
+    "check_bad_word": _check("bad_word.csv", "--kind", "two"),
+    "check_not_observable": _check("not_observable.csv", "--kind", "two"),
+    "check_nan_value": _check("nan_value.csv", "--kind", "two"),
+    "check_inf_value": _check("inf_value.csv", "--kind", "two"),
+    "check_negative_sigma": _check("negative_sigma.csv", "--kind", "two"),
+    "check_nan_sigma": _check("nan_sigma.csv", "--kind", "two"),
+    "check_exceeds": _check("exceeds.csv", "--kind", "two"),
+    "check_exceeds_negative": _check("exceeds_negative.csv", "--kind", "two"),
+    "check_duplicate": _check("duplicate.csv", "--kind", "two"),
+    "check_empty": _check("empty.csv", "--kind", "multi"),
+    "check_wrong_header": _check("wrong_header.csv", "--kind", "two"),
+    "check_header_only": _check("header_only.csv", "--kind", "multi"),
+    "check_short_two": _check("short_two.csv", "--kind", "two"),
+    "check_short_multi": _check("short_multi.csv", "--kind", "multi"),
+    "check_missing_two": _check("missing_two.csv", "--kind", "two"),
+    "check_missing_multi": _check("missing_multi.csv", "--kind", "multi"),
+    "check_unknown_two": _check("unknown_two.csv", "--kind", "two"),
+    "check_unknown_multi": _check("unknown_multi.csv", "--kind", "multi"),
+    "check_two_needs_two_sites": _check("ghz3.csv", "--kind", "two"),
+    "check_oversized_field": _check("oversized_field.csv", "--kind", "two"),
+    "check_oversized_header": _check("oversized_header.csv", "--kind", "two"),
+    "check_missing_file": _check("no_such_file.csv", "--kind", "two"),
+    "check_negative_k": _check("werner.csv", "--kind", "two", "--k=-inf"),
+    "dense_pi": _dense("pi.txt"),
+    "dense_bell": _dense("bell.txt"),
+    "dense_bell_multi": _dense("bell.txt", "--kind", "multi"),
+    "dense_qubit": _dense("qubit.txt"),
+    "dense_entry_count": _dense("dense_entry_count.txt"),
+    "dense_not_pair": _dense("dense_not_pair.txt"),
+    "dense_not_numeric": _dense("dense_not_numeric.txt"),
+    "dense_row_count": _dense("dense_row_count.txt"),
+    "dense_extra_row": _dense("dense_extra_row.txt"),
+    "dense_bad_header": _dense("dense_bad_header.txt"),
+    "dense_header_range": _dense("dense_header_range.txt"),
+    "dense_empty": _dense("dense_empty.txt"),
+    "dense_not_hermitian": _dense("dense_not_hermitian.txt"),
+    "dense_trace": _dense("dense_trace.txt"),
+    "dense_missing_file": _dense("no_such_file.txt"),
+    **{
+        f"bound_{n}_workers_{workers}": [
+            "bound", "--n", str(n), "--bruteforce", "--workers", str(workers)
+        ]
+        for n in range(2, 7)
+        for workers in (1, 2)
+    },
+    "bound_workers_0": ["bound", "--n", "4", "--bruteforce", "--workers", "0"],
+}
+
+
+def prepare(directory: Path) -> None:
+    """Put every input file of the corpus into ``directory``."""
+    for path in INPUTS.iterdir():
+        shutil.copy(path, directory / path.name)
+    for name, text in GENERATED.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def run(argv: list[str]) -> dict:
+    """Run one invocation in the current directory and record it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    stdout = re.sub(r'("elapsed": )[^,\n]+', r'\1"*"', out.getvalue())
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout": stdout,
+        "stderr": err.getvalue().partition("\n")[0],
+    }
+
+
+def regenerate() -> None:
+    for stale in GOLDEN.glob("*.json"):
+        stale.unlink()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        prepare(Path(scratch))
+        os.chdir(scratch)
+        try:
+            for name, argv in CASES.items():
+                record = json.dumps(run(argv), indent=2, ensure_ascii=False)
+                (GOLDEN / f"{name}.json").write_text(record + "\n", encoding="utf-8")
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    regenerate()
