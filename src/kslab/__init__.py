@@ -23,7 +23,6 @@ _EXPORTS = {
     ),
     "errors": ("VerificationError",),
     "experiment": (
-        "CorrelatorRecord",
         "evaluate_experiment",
         "ingest_correlators",
         "required_words",

@@ -82,7 +82,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[Payload, bool]:
     if args.bruteforce:
         from .hv_oracle import bruteforce_report
 
-        report = bruteforce_report(args.n, workers=args.workers)
+        report = bruteforce_report(args.n)
         payload.update(report.to_dict())
         payload["agree"] = report.bound_bruteforce == report.bound_formula
     return payload, True
@@ -116,12 +116,11 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[Payload, bool]:
 def _cmd_check(args: argparse.Namespace) -> tuple[Payload, bool]:
     from .experiment import evaluate_experiment, ingest_correlators
 
-    records = ingest_correlators(args.file)
-    if not records:
+    table = ingest_correlators(args.file)
+    if not table:
         raise ValueError(f"no correlator rows in {args.file!r}")
-    report = evaluate_experiment(
-        records, _KIND_NAMES[args.kind], len(records[0].letters), k=args.k
-    )
+    n = len(next(iter(table)))  # the first word's length sets n
+    report = evaluate_experiment(table, _KIND_NAMES[args.kind], n, k=args.k)
     return {"file": args.file, "k": args.k, **report.to_dict()}, True
 
 

@@ -1,116 +1,86 @@
 """Measured-correlator ingestion and inequality evaluation.
 
-Input is a CSV with header ``word,value,sigma``: one measured expectation
-per Pauli word, with its standard error.  Words are matched against the
-required set for the chosen inequality; each word's intrinsic sign is
-applied to the measured value, and uncertainties propagate in quadrature.
+A CSV with header ``word,value,sigma`` (one measured expectation per
+Pauli word, with its standard error) is read into one table keyed by
+letter word.  The table is matched against the required words of an
+inequality, and uncertainties propagate in quadrature.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator
-
 import math
+from typing import IO, Callable, Iterator
 
-from .inequalities import (
-    InequalityReport,
-    decide_violation,
-    multipartite_bound,
-)
-from .pauli import SITE_LIMIT, LambdaIndex, PauliString, lambda_element
+from .inequalities import InequalityReport, decide_violation, multipartite_bound
+from .pauli import LINE_LIMIT, SITE_LIMIT, LambdaIndex, PauliString, lambda_element
 
 KINDS = ("two-partite", "multipartite")
 
 
-@dataclass(frozen=True)
-class CorrelatorRecord:
-    """One measured expectation value for a Pauli word."""
+def ingest_correlators(source: str | IO[str]) -> dict[str, tuple[float, float]]:
+    """Read a correlator CSV into ``{letters: (value, sigma)}``, in file order.
 
-    word: str
-    value: float
-    sigma: float = 0.0
-    letters: str = field(init=False, repr=False, compare=False)
-    sign: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        parsed = PauliString.from_text(self.word)
-        if not parsed.is_hermitian:
-            raise ValueError(f"word {self.word!r} is not an observable")
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value for {self.word!r}")
-        if self.sigma < 0 or not math.isfinite(self.sigma):
-            raise ValueError(f"bad standard error for {self.word!r}: {self.sigma}")
-        if abs(self.value) > 1 + 3 * self.sigma:
-            raise ValueError(
-                f"value {self.value} for {self.word!r} exceeds |1| + 3*sigma"
-            )
-        # the text after the sign prefix, equal to parsed.letters
-        object.__setattr__(self, "letters", self.word.strip().lstrip("+-i"))
-        object.__setattr__(self, "sign", {0: 1.0, 2: -1.0}[parsed.sign_exp])
-
-    @property
-    def letter_value(self) -> float:
-        """Measured value referred to the plain letter word (a signed word
-        like ``-YY`` reports the negated observable)."""
-        return self.sign * self.value
-
-
-def csv_records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """CSV records numbered from 1.  A record the csv module rejects, such
-    as one with a field over its size limit, raises ValueError naming
-    its line."""
-    reader = csv.reader(lines)
-    for lineno in itertools.count(1):
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        yield lineno, row
-
-
-def ingest_correlators(source: str | IO[str]) -> list[CorrelatorRecord]:
-    """Parse a correlator CSV; duplicates and malformed lines are errors."""
+    Values are referred to the plain letter word: the row ``-YY,-0.5,s``
+    reads ``"YY": (0.5, s)``.  Rows are checked in order for three fields,
+    a float value and sigma, a Hermitian Pauli word, a finite value, a
+    finite sigma >= 0, |value| <= 1 + 3 sigma and new letters.  A failed
+    check, a line over ``LINE_LIMIT`` characters or a record the csv
+    module rejects raises ValueError naming its line, counted in the file.
+    """
     if isinstance(source, str):
         with open(source, encoding="utf-8", newline="") as fh:
             return _read_correlators(fh)
     return _read_correlators(source)
 
 
-def _read_correlators(lines: Iterable[str]) -> list[CorrelatorRecord]:
-    rows = csv_records(lines)
+def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
+    lineno = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal lineno
+        while line := fh.readline(LINE_LIMIT + 1):
+            lineno += 1
+            if len(line) > LINE_LIMIT:
+                raise ValueError(f"longer than {LINE_LIMIT} characters")
+            yield line
+
+    table: dict[str, tuple[float, float]] = {}
     try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ValueError("line 1: empty correlator file") from None
-    if [h.strip().lower() for h in header] != ["word", "value", "sigma"]:
-        raise ValueError(f"line 1: expected header word,value,sigma, got {header!r}")
-    records: list[CorrelatorRecord] = []
-    seen: set[str] = set()
-    for lineno, row in rows:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        word, value, sigma = (field.strip() for field in row)
-        try:
-            record = CorrelatorRecord(word, float(value), float(sigma))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if record.letters in seen:
-            raise ValueError(f"line {lineno}: duplicate word {word!r}")
-        seen.add(record.letters)
-        records.append(record)
-    return records
+        reader = csv.reader(lines())
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty correlator file")
+        if [h.strip().lower() for h in header] != ["word", "value", "sigma"]:
+            raise ValueError(f"expected header word,value,sigma, got {header!r}")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise ValueError(f"expected 3 fields, got {len(row)}")
+            word, value, sigma = (field.strip() for field in row)
+            value, sigma = float(value), float(sigma)
+            parsed = PauliString.from_text(word)
+            if not parsed.is_hermitian:
+                raise ValueError(f"word {word!r} is not an observable")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value for {word!r}")
+            if sigma < 0 or not math.isfinite(sigma):
+                raise ValueError(f"bad standard error for {word!r}: {sigma}")
+            if abs(value) > 1 + 3 * sigma:
+                raise ValueError(f"value {value} for {word!r} exceeds |1| + 3*sigma")
+            letters = word.lstrip("+-i")  # equal to parsed.letters
+            if letters in table:
+                raise ValueError(f"duplicate word {word!r}")
+            table[letters] = (-value if parsed.sign_exp else value, sigma)
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"line {max(lineno, 1)}: {exc}") from None
+    return table
 
 
 def _is_half_word(word: str, n: int) -> bool:
-    """True for the lower half-group words: I/Z strings of length n with
-    an even number of Zs."""
+    """True for the lower half-group words: even-weight I/Z strings of length n."""
     return len(word) == n and not word.strip("IZ") and word.count("Z") % 2 == 0
 
 
@@ -147,9 +117,9 @@ def _first_words(words: list[str], total: int) -> str:
 
 
 def evaluate_experiment(
-    records: Iterable[CorrelatorRecord], kind: str, n: int, k: float = 3.0
+    table: dict[str, tuple[float, float]], kind: str, n: int, k: float = 3.0
 ) -> InequalityReport:
-    """Signed sum of measured correlators against the classical bound.
+    """Signed sum of an ``ingest_correlators`` table against the classical bound.
 
     One rule for both kinds: words that fail the required-word test are
     unknown, and the missing count is the required count less the words
@@ -159,7 +129,6 @@ def evaluate_experiment(
     multipartite lhs is a correctly rounded ``math.fsum``, so it does
     not depend on row order.
     """
-    table = {record.letters: record for record in records}
     count, needed, words = _required(kind, n)
     unknown = sorted(word for word in table if not needed(word))
     missing = count - (len(table) - len(unknown))
@@ -178,23 +147,13 @@ def evaluate_experiment(
             f"{len(unknown)} unknown correlators "
             f"{_first_words(unknown[:_NAMED_WORDS], len(unknown))} for {kind}"
         )
-    # I < Z and X < Y < Z: hypot sums the sigmas in a fixed order
-    required = sorted(table)
-
+    # I < Z and X < Y < Z: the sums run in a fixed order, XX, YY, ZZ first
+    values, sigmas = zip(*(table[word] for word in sorted(table)))
     if kind == "two-partite":
-        lhs = (
-            1.0
-            + table["XX"].letter_value
-            + table["YY"].letter_value
-            - table["ZZ"].letter_value
-        )
-        bound = 2.0
+        lhs, bound = 1.0 + values[0] + values[1] - values[2], 2.0
     else:
-        # lower-half words are Z-strings, all with sign +1
-        lhs = math.fsum(table[word].letter_value for word in required)
-        bound = multipartite_bound(n)
-
-    sigma = math.hypot(*(table[word].sigma for word in required))
+        lhs, bound = math.fsum(values), multipartite_bound(n)
+    sigma = math.hypot(*sigmas)
     return InequalityReport(
         kind=kind,
         n=n,

@@ -202,7 +202,7 @@ def _mask_major_codes(k: int) -> np.ndarray:
     return ((entries >> k) ^ vy) | (vy << k)
 
 
-def bruteforce_report(n: int, workers: int | None = None) -> BoundReport:
+def bruteforce_report(n: int) -> BoundReport:
     """Evaluate g_value on all 4^n encoded assignments, check each value
     against its product-rule word sum, and read the extrema from the
     checked word sums, sweeping a grid of half-site codes on one process.
@@ -220,14 +220,11 @@ def bruteforce_report(n: int, workers: int | None = None) -> BoundReport:
     Once every code has matched, g takes exactly the spectrum's values,
     since every word mask m is hit.  The smallest code with mask m is m
     itself (vx = m, vy all +1), so the witness, the smallest code
-    attaining the maximum, is the spectrum's first argmax.  ``workers``
-    is validated and otherwise ignored; ``elapsed`` covers the sweep and
-    its check.
+    attaining the maximum, is the spectrum's first argmax.  ``elapsed``
+    covers the sweep and its check.
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration needs 2 <= n <= {ENUMERATION_CAP}, got {n}")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
     started = time.perf_counter()
     low_sites = n // 2
     high_sites = n - low_sites

@@ -29,6 +29,7 @@ from typing import Union
 from .errors import VerificationError
 from .pauli import (
     DENSE_STATE_LIMIT,
+    LINE_LIMIT,
     SITE_LIMIT,
     PauliString,
     half_zmasks,
@@ -36,6 +37,10 @@ from .pauli import (
 )
 
 ATOL_SCALAR = 1e-10
+
+# Characters per matrix entry of a dense state file: a row of 2^n entries,
+# line ending included, holds at most 2^n times this.
+DENSE_ENTRY_CHARS = 256
 
 # Slack on a unit norm (Bloch vector, superposition amplitudes), so that
 # parameters rounded from exact unit values are accepted.
@@ -397,16 +402,33 @@ def read_dense_state(path: str) -> DenseState:
     2^n whitespace-separated "re,im" pairs; blank lines are skipped.
 
     The file is read one row at a time into a preallocated buffer, so no
-    more than one row of text is held.  Each row is checked as it is read:
-    a malformed row is reported by row (and entry) before the row count
-    is compared, and rows past the 2^n-th are counted but not parsed.
-    The state adopts the filled buffer instead of copying it.
+    more than one row of text is held.  A line is read up to its limit,
+    ``LINE_LIMIT`` characters before the header and ``DENSE_ENTRY_CHARS``
+    per entry after it, and a longer one is an error naming its line.
+    Each row is checked as it is read: a malformed row is reported by
+    row (and entry) before the row count is compared, and rows past the
+    2^n-th are counted but not parsed.  The state adopts the filled
+    buffer instead of copying it.
     """
     import numpy as np
 
     with open(path, encoding="utf-8") as fh:
-        lines = filter(None, map(str.strip, fh))
-        header = next(lines, None)
+        lineno = 0
+
+        def next_line(limit: int) -> str | None:
+            """The next non-blank line, stripped; None at the end of the file."""
+            nonlocal lineno
+            while line := fh.readline(limit + 1):
+                lineno += 1
+                if len(line) > limit:
+                    raise ValueError(
+                        f"{path}: line {lineno}: longer than {limit} characters"
+                    )
+                if text := line.strip():
+                    return text
+            return None
+
+        header = next_line(LINE_LIMIT)
         if header is None:
             raise ValueError(f"{path}: empty state file")
         try:
@@ -419,7 +441,8 @@ def read_dense_state(path: str) -> DenseState:
         # re and im of each entry side by side: the memory layout of complex
         buf = np.empty((dim, 2 * dim))
         found = 0
-        for found, line in enumerate(lines, 1):
+        while (line := next_line(dim * DENSE_ENTRY_CHARS)) is not None:
+            found += 1
             if found <= dim:
                 _read_row(path, found - 1, line, buf[found - 1])
     if found != dim:

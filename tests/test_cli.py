@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -418,6 +419,37 @@ class TestCheck:
             capsys, "check", "--file", str(tmp_path / "nope.csv"), "--kind", "two"
         )
         assert code == EXIT_USAGE
+
+
+# Runs ``kslab.cli.main`` on the command line arguments with the address
+# space capped at 512 MiB, so that an unbounded read fails fast.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from kslab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--file", "/dev/zero", "--kind", "multi"], "error: line 1: longer than"),
+        (["violate", "--state", "dense:@/dev/zero"], "error: /dev/zero: line 1: longer than"),
+    ],
+    ids=["check", "violate"],
+)
+def test_line_without_end_exits_without_traceback(argv, message, kslab_env):
+    # one thread keeps numpy's own address space small
+    env = dict(kslab_env, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == EXIT_USAGE
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(message)
 
 
 class TestVerify:

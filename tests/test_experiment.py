@@ -12,13 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kslab.experiment
-from kslab.experiment import (
-    CorrelatorRecord,
-    evaluate_experiment,
-    ingest_correlators,
-    required_words,
-)
-from kslab.pauli import PauliString
+from kslab.experiment import evaluate_experiment, ingest_correlators, required_words
+from kslab.pauli import LINE_LIMIT, PauliString
 
 
 def csv_of(rows: list[str]) -> io.StringIO:
@@ -28,62 +23,11 @@ def csv_of(rows: list[str]) -> io.StringIO:
 WERNER_HALF = ["XX,0.5,0.02", "YY,0.5,0.02", "ZZ,-0.5,0.02"]
 
 
-class TestCorrelatorRecord:
-    def test_plain_word(self):
-        record = CorrelatorRecord("XX", 0.5, 0.02)
-        assert record.letters == "XX"
-        assert record.letter_value == 0.5
-
-    def test_signed_word_folds_into_value(self):
-        record = CorrelatorRecord("-YY", 0.5)
-        assert record.letters == "YY"
-        assert record.letter_value == -0.5
-
-    def test_word_is_parsed_once(self, monkeypatch):
-        calls = []
-        parse = PauliString.from_text.__func__
-
-        def counting(cls, text):
-            calls.append(text)
-            return parse(cls, text)
-
-        monkeypatch.setattr(PauliString, "from_text", classmethod(counting))
-        record = CorrelatorRecord("-ZZ", 0.25)
-        assert (record.letters, record.letter_value) == ("ZZ", -0.25)
-        assert (record.letters, record.letter_value) == ("ZZ", -0.25)
-        assert calls == ["-ZZ"]
-
-    def test_parsed_fields_stay_out_of_equality(self):
-        assert CorrelatorRecord("ZZ", 0.5) == CorrelatorRecord("ZZ", 0.5)
-        assert "letters" not in repr(CorrelatorRecord("ZZ", 0.5))
-
-    def test_rejects_non_observable_word(self):
-        with pytest.raises(ValueError, match="observable"):
-            CorrelatorRecord("+iXY", 0.0)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_rejects_non_finite_value(self, value):
-        with pytest.raises(ValueError, match="non-finite"):
-            CorrelatorRecord("ZZ", value)
-
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError, match="standard error"):
-            CorrelatorRecord("ZZ", 0.1, -0.01)
-
-    def test_value_range_allows_three_sigma_slack(self):
-        CorrelatorRecord("ZZ", 1.05, 0.02)
-        with pytest.raises(ValueError, match="exceeds"):
-            CorrelatorRecord("ZZ", 1.05, 0.01)
-        with pytest.raises(ValueError, match="exceeds"):
-            CorrelatorRecord("ZZ", -1.2, 0.0)
-
-
 class TestIngestion:
     def test_reads_rows_in_order(self):
-        records = ingest_correlators(csv_of(WERNER_HALF))
-        assert [r.letters for r in records] == ["XX", "YY", "ZZ"]
-        assert [r.value for r in records] == [0.5, 0.5, -0.5]
-        assert all(r.sigma == 0.02 for r in records)
+        table = ingest_correlators(csv_of(WERNER_HALF))
+        assert table == {"XX": (0.5, 0.02), "YY": (0.5, 0.02), "ZZ": (-0.5, 0.02)}
+        assert list(table) == ["XX", "YY", "ZZ"]
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "correlators.csv"
@@ -92,8 +36,70 @@ class TestIngestion:
 
     def test_header_is_case_and_space_tolerant(self):
         text = " Word , VALUE , Sigma \nZZ,0.25,0\n"
-        records = ingest_correlators(io.StringIO(text))
-        assert records[0].letters == "ZZ"
+        assert ingest_correlators(io.StringIO(text)) == {"ZZ": (0.25, 0.0)}
+
+    # One row after a valid XX row: the table it gives, or the error it
+    # raises.  Rows that fail two checks show the order of the checks.
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ("YY,0.5,0.02", {"YY": (0.5, 0.02)}),
+            ("-YY,0.5,0", {"YY": (-0.5, 0.0)}),
+            ("+ZZ, -0.25 , 0", {"ZZ": (-0.25, 0.0)}),
+            ("ZZ,1.05,0.02", {"ZZ": (1.05, 0.02)}),
+            ("ZZ,0.5", "expected 3 fields, got 2"),
+            ("ZZ,half,wide", "could not convert string to float: 'half'"),
+            ("ZZ,0.5,wide", "could not convert string to float: 'wide'"),
+            ("QQ,nan,-1", "not a Pauli word: 'QQ'"),
+            ("+iXY,nan,0", "word '+iXY' is not an observable"),
+            ("ZZ,nan,-1", "non-finite value for 'ZZ'"),
+            ("ZZ,inf,0", "non-finite value for 'ZZ'"),
+            ("ZZ,5,-0.01", "bad standard error for 'ZZ': -0.01"),
+            ("ZZ,0.1,inf", "bad standard error for 'ZZ': inf"),
+            ("ZZ,1.05,0.01", "value 1.05 for 'ZZ' exceeds |1| + 3*sigma"),
+            ("-XX,-1.2,0", "value -1.2 for '-XX' exceeds |1| + 3*sigma"),
+            ("-XX,0.5,0", "duplicate word '-XX'"),
+        ],
+        ids=[
+            "plain_word",
+            "signed_word_folds_into_value",
+            "spaced_fields",
+            "value_range_allows_three_sigma_slack",
+            "field_count",
+            "bad_value_before_bad_sigma",
+            "bad_sigma",
+            "bad_word_before_value_checks",
+            "rejects_non_observable_word",
+            "non_finite_value_before_sigma",
+            "rejects_non_finite_value",
+            "rejects_negative_sigma",
+            "rejects_infinite_sigma",
+            "value_range_exceeded",
+            "value_range_before_duplicate",
+            "duplicate_letters",
+        ],
+    )
+    def test_row(self, row, expected):
+        source = csv_of(["XX,0.5,0.02", row])
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                ingest_correlators(source)
+            assert str(info.value) == f"line 3: {expected}"
+        else:
+            assert ingest_correlators(source) == {"XX": (0.5, 0.02), **expected}
+
+    def test_each_row_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = PauliString.from_text.__func__
+
+        def counting(cls, text):
+            calls.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(PauliString, "from_text", classmethod(counting))
+        table = ingest_correlators(csv_of(["-ZZ,0.25,0", "", "XX,0.5,0", "YY,0.5,0"]))
+        assert table["ZZ"] == (-0.25, 0.0)
+        assert calls == ["-ZZ", "XX", "YY"]
 
     def test_blank_lines_are_skipped(self):
         text = "word,value,sigma\n\nZZ,0.25,0\n\n"
@@ -130,6 +136,20 @@ class TestIngestion:
     def test_oversized_field_error_carries_line_number(self, text, line):
         with pytest.raises(ValueError, match=f"{line}: field larger than field limit"):
             ingest_correlators(io.StringIO(text))
+
+    def test_lines_are_counted_across_quoted_newlines(self):
+        text = 'word,value,sigma\n"ZZ\n",0.5,0\nQQ,1,0\n'
+        with pytest.raises(ValueError, match="^line 4: not a Pauli word: 'QQ'$"):
+            ingest_correlators(io.StringIO(text))
+
+    def test_line_limit(self):
+        # a line of LINE_LIMIT characters, line ending included, is parsed;
+        # one more character and it is refused unread
+        commas = "," * (LINE_LIMIT - 1)
+        with pytest.raises(ValueError, match=f"^line 2: expected 3 fields, got {LINE_LIMIT}$"):
+            ingest_correlators(io.StringIO(f"word,value,sigma\n{commas}\n"))
+        with pytest.raises(ValueError, match=f"^line 2: longer than {LINE_LIMIT} characters$"):
+            ingest_correlators(io.StringIO(f"word,value,sigma\n,{commas}\n"))
 
     def test_duplicate_word_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -168,8 +188,8 @@ class TestRequiredWords:
 
 class TestEvaluateTwoPartite:
     def test_werner_synthetic_run(self):
-        records = ingest_correlators(csv_of(WERNER_HALF))
-        report = evaluate_experiment(records, "two-partite", 2)
+        table = ingest_correlators(csv_of(WERNER_HALF))
+        report = evaluate_experiment(table, "two-partite", 2)
         assert report.lhs == pytest.approx(2.5, abs=1e-12)
         assert report.bound == 2.0
         assert report.uncertainty == pytest.approx(math.sqrt(3) * 0.02, abs=1e-12)
@@ -182,9 +202,9 @@ class TestEvaluateTwoPartite:
         assert not report.violated  # 3 sigma ~ 1.04 swallows the excess
 
     def test_k_parameter_is_honored(self):
-        records = ingest_correlators(csv_of(WERNER_HALF))
-        assert evaluate_experiment(records, "two-partite", 2, k=3.0).violated
-        assert not evaluate_experiment(records, "two-partite", 2, k=20.0).violated
+        table = ingest_correlators(csv_of(WERNER_HALF))
+        assert evaluate_experiment(table, "two-partite", 2, k=3.0).violated
+        assert not evaluate_experiment(table, "two-partite", 2, k=20.0).violated
 
     def test_all_zero_correlators(self):
         rows = ["XX,0,0", "YY,0,0", "ZZ,0,0"]
@@ -204,15 +224,15 @@ class TestEvaluateTwoPartite:
         assert signed.uncertainty == pytest.approx(plain.uncertainty, abs=1e-12)
 
     def test_missing_word_error_names_it(self):
-        records = ingest_correlators(csv_of(["XX,0.5,0", "YY,0.5,0"]))
+        table = ingest_correlators(csv_of(["XX,0.5,0", "YY,0.5,0"]))
         with pytest.raises(ValueError, match="missing.*ZZ"):
-            evaluate_experiment(records, "two-partite", 2)
+            evaluate_experiment(table, "two-partite", 2)
 
     def test_extra_word_error_names_it(self):
         rows = WERNER_HALF + ["XY,0.1,0"]
-        records = ingest_correlators(csv_of(rows))
+        table = ingest_correlators(csv_of(rows))
         with pytest.raises(ValueError, match="unknown.*XY"):
-            evaluate_experiment(records, "two-partite", 2)
+            evaluate_experiment(table, "two-partite", 2)
 
 
 class TestEvaluateMultipartite:
@@ -246,9 +266,9 @@ class TestEvaluateMultipartite:
 
     def test_missing_word_is_reported(self):
         rows = ["III,1,0", "IZZ,1,0", "ZIZ,1,0"]
-        records = ingest_correlators(csv_of(rows))
+        table = ingest_correlators(csv_of(rows))
         with pytest.raises(ValueError, match="ZZI"):
-            evaluate_experiment(records, "multipartite", 3)
+            evaluate_experiment(table, "multipartite", 3)
 
     def test_short_file_never_builds_the_word_list(self, monkeypatch):
         built = []
@@ -259,9 +279,9 @@ class TestEvaluateMultipartite:
             return build(index)
 
         monkeypatch.setattr(kslab.experiment, "lambda_element", counting)
-        records = ingest_correlators(csv_of(["Z" * 30 + ",0.5,0"]))
+        table = ingest_correlators(csv_of(["Z" * 30 + ",0.5,0"]))
         with pytest.raises(ValueError, match="needs 536870912 correlators, got 1") as info:
-            evaluate_experiment(records, "multipartite", 30)
+            evaluate_experiment(table, "multipartite", 30)
         assert len(str(info.value)) < 300
         assert "I" * 30 in str(info.value)
         assert built == [0, 1, 2, 3]  # only the words quoted in the error
@@ -270,17 +290,17 @@ class TestEvaluateMultipartite:
         # as many rows as required, but half of them are the wrong words
         good = required_words("multipartite", 5)[:8]
         bad = [w.replace("Z", "X") for w in required_words("multipartite", 5)[1:9]]
-        records = ingest_correlators(csv_of([f"{w},0,0" for w in good + bad]))
+        table = ingest_correlators(csv_of([f"{w},0,0" for w in good + bad]))
         with pytest.raises(ValueError, match="8 missing correlators .* and 4 more") as info:
-            evaluate_experiment(records, "multipartite", 5)
+            evaluate_experiment(table, "multipartite", 5)
         assert str(info.value).count("'") == 8  # four words quoted
 
     def test_many_unknown_words_are_counted(self):
         words = required_words("multipartite", 3)
         extra = ["XXX", "XYY", "YXY", "YYX", "XIX", "IXX"]
-        records = ingest_correlators(csv_of([f"{w},0,0" for w in words + extra]))
+        table = ingest_correlators(csv_of([f"{w},0,0" for w in words + extra]))
         with pytest.raises(ValueError, match="6 unknown correlators .* and 2 more"):
-            evaluate_experiment(records, "multipartite", 3)
+            evaluate_experiment(table, "multipartite", 3)
 
     def test_site_count_is_capped(self):
         with pytest.raises(ValueError, match="n <= 1023"):
@@ -324,15 +344,15 @@ class TestEvaluateMultipartite:
                 words[i] += data.draw(st.sampled_from("IZ"))
             elif len(words[i]) > 1:
                 words[i] = words[i][1:]
-        records = [CorrelatorRecord(w, 0.5) for w in words]
+        table = {w: (0.5, 0.0) for w in words}
         if set(words) == set(required):
-            report = evaluate_experiment(records, "multipartite", n)
+            report = evaluate_experiment(table, "multipartite", n)
             assert report.lhs == 0.5 * len(required)
         else:
             with pytest.raises(ValueError, match="correlators"):
-                evaluate_experiment(records, "multipartite", n)
+                evaluate_experiment(table, "multipartite", n)
 
     def test_wrong_length_words_are_unknown(self):
-        records = ingest_correlators(csv_of(["II,1,0", "ZZ,1,0"]))
+        table = ingest_correlators(csv_of(["II,1,0", "ZZ,1,0"]))
         with pytest.raises(ValueError, match="missing"):
-            evaluate_experiment(records, "multipartite", 3)
+            evaluate_experiment(table, "multipartite", 3)

@@ -149,28 +149,15 @@ class TestBruteforceBound:
         for n in range(3, 9):
             assert bruteforce_report(n).g_min == -int(multipartite_bound(n))
 
-    def test_two_workers_agree_with_one(self):
-        lone = bruteforce_report(8, workers=1)
-        split = bruteforce_report(8, workers=2)
-        assert split.workers == 1
-        assert split.bound_bruteforce == lone.bound_bruteforce
-        assert split.g_min == lone.g_min
-        assert split.witness == lone.witness  # smallest code wins ties
-
     def test_thread_cap_env(self, monkeypatch):
         # the sweep runs on one process; a leftover KS_LAB_THREADS, even
         # one the pool used to reject, changes nothing
         for value in ("1", "zero?"):
             monkeypatch.setenv("KS_LAB_THREADS", value)
-            assert bruteforce_report(8, workers=4).workers == 1
+            assert bruteforce_report(8).workers == 1
 
     def test_small_ranges_collapse_to_one_worker(self):
-        assert bruteforce_report(4, workers=6).workers == 1
-
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_bad_worker_count_rejected(self, bad):
-        with pytest.raises(ValueError, match="workers"):
-            bruteforce_report(4, workers=bad)
+        assert bruteforce_report(4).workers == 1
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_gray_scan(self, n):
@@ -245,9 +232,9 @@ class TestBruteforceBound:
         assert report.cross_check == "exhaustive"
         assert report.bound_bruteforce == int(multipartite_bound(n))
 
-    def test_takes_only_the_site_count_and_workers(self):
+    def test_takes_only_the_site_count(self):
         # no parameter can skip the cross-check
-        assert list(inspect.signature(bruteforce_report).parameters) == ["n", "workers"]
+        assert list(inspect.signature(bruteforce_report).parameters) == ["n"]
 
     def test_report_serialization(self):
         data = bruteforce_report(3).to_dict()

@@ -76,8 +76,7 @@ print(json.dumps(peaks))
 """
 
 PUBLIC_NAMES = [
-    "Assignment", "BoundReport", "ContradictionCertificate", "CorrelatorRecord",
-    "DenseState", "ENUMERATION_CAP", "FiniteHVModel", "GhzSuperposition",
+    "Assignment", "BoundReport", "ContradictionCertificate", "DenseState", "ENUMERATION_CAP", "FiniteHVModel", "GhzSuperposition",
     "HvknReport", "IdentityReport", "InequalityReport", "LambdaIndex",
     "PauliString", "ProductState", "VerificationError", "WernerState",
     "apply_spectrally", "bell_fidelity", "bruteforce_report",

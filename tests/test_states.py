@@ -22,6 +22,7 @@ from oracle import (
 import kslab.states
 from kslab.errors import VerificationError
 from kslab.pauli import (
+    LINE_LIMIT,
     SITE_LIMIT,
     LambdaIndex,
     PauliString,
@@ -29,6 +30,7 @@ from kslab.pauli import (
     lambda_element,
 )
 from kslab.states import (
+    DENSE_ENTRY_CHARS,
     DenseState,
     GhzSuperposition,
     ProductState,
@@ -537,6 +539,19 @@ class TestDenseReader:
         with pytest.raises(ValueError) as reference:
             read_dense_reference(path)
         assert str(info.value) == str(reference.value)
+
+    def test_line_limits(self, tmp_path):
+        # line ending included, a row of 2^n entries may hold 2^n *
+        # DENSE_ENTRY_CHARS characters and the site-count line LINE_LIMIT
+        limit = 2 * DENSE_ENTRY_CHARS
+        row = "0.5,0 0,0".ljust(limit - 1)
+        state = read_dense_state(dense_file(tmp_path, [row, "0,0 0.5,0"]))
+        assert state.rho[0, 0] == 0.5
+        with pytest.raises(ValueError, match=f"line 2: longer than {limit} characters"):
+            read_dense_state(dense_file(tmp_path, [row + " ", "0,0 0.5,0"]))
+        header = "1".ljust(LINE_LIMIT)
+        with pytest.raises(ValueError, match=f"line 1: longer than {LINE_LIMIT} characters"):
+            read_dense_state(dense_file(tmp_path, ["0.5,0 0,0", "0,0 0.5,0"], header))
 
     def test_extra_rows_are_counted(self, tmp_path):
         path = dense_file(tmp_path, ["0.5,0 0,0", "0,0 0.5,0", "junk", "0,0 0,0"])
