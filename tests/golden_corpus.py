@@ -5,7 +5,9 @@ first stderr line are pinned, one JSON file per invocation, in
 Every invocation runs in process through ``kslab.cli.main``, in a
 directory that holds the committed files of ``tests/golden/inputs/``
 and the large inputs built by ``GENERATED``, so that argv can name them
-by bare file name.  ``elapsed`` is masked in stdout.
+by bare file name.  An argv that starts with ``python -m kslab.cli``
+runs as a child process of the current interpreter instead, to pin the
+module entry point.  ``elapsed`` is masked in stdout.
 
 Regenerate every file with::
 
@@ -23,13 +25,17 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import kslab
 from kslab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
+MODULE = ["python", "-m", "kslab.cli"]
 
 # Inputs too large to commit, by file name.
 GENERATED = {
@@ -44,6 +50,10 @@ def _check(name: str, *argv: str) -> list[str]:
 
 def _dense(name: str, *argv: str) -> list[str]:
     return ["violate", "--state", f"dense:@{name}", *argv]
+
+
+def _violate(spec: str, *argv: str) -> list[str]:
+    return ["violate", "--state", spec, *argv]
 
 
 CASES: dict[str, list[str]] = {
@@ -101,6 +111,22 @@ CASES: dict[str, list[str]] = {
         for workers in (1, 2)
     },
     "bound_workers_0": ["bound", "--n", "4", "--bruteforce", "--workers", "0"],
+    **{f"bound_{n}": ["bound", "--n", str(n), "--bruteforce"] for n in range(7, 15)},
+    "bound_1023": ["bound", "--n", "1023"],
+    **{
+        f"verify_{suite}": ["verify", "--suite", suite]
+        for suite in ("identities", "hvkn", "certificates", "fine")
+    },
+    "violate_ghz": _violate("ghz:n=5,alpha=0.6,beta=0.8"),
+    "violate_ghz_two": _violate("ghz:n=2,alpha=0.6,beta=0.8", "--kind", "two"),
+    "violate_product": _violate("product:+-+-+"),
+    "violate_product_multi": _violate("product:++", "--kind", "multi"),
+    "violate_werner": _violate("werner:lambda=0.5"),
+    "violate_werner_multi": _violate("werner:lambda=0.5", "--kind", "multi"),
+    "group_3": ["group", "--n", "3"],
+    "scan_csv": ["scan", "--from", "2", "--to", "6"],
+    "scan_json": ["scan", "--from", "2", "--to", "6", "--format", "json"],
+    "module_violate_werner": [*MODULE, "violate", "--state", "werner:lambda=0.7"],
 }
 
 
@@ -112,20 +138,39 @@ def prepare(directory: Path) -> None:
         (directory / name).write_text(text, encoding="utf-8")
 
 
+def _run_module(argv: list[str]) -> tuple[int, str, str]:
+    """Run ``python -m kslab.cli`` on argv in a child of this interpreter
+    that imports this kslab, installed or not."""
+    root = str(Path(kslab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
+    child = subprocess.run(
+        [sys.executable, "-m", "kslab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
 def run(argv: list[str]) -> dict:
     """Run one invocation in the current directory and record it."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    stdout = re.sub(r'("elapsed": )[^,\n]+', r'\1"*"', out.getvalue())
+    if argv[: len(MODULE)] == MODULE:
+        code, stdout, stderr = _run_module(argv[len(MODULE) :])
+    else:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        stdout, stderr = out.getvalue(), err.getvalue()
     return {
         "argv": argv,
         "exit": code,
-        "stdout": stdout,
-        "stderr": err.getvalue().partition("\n")[0],
+        "stdout": re.sub(r'("elapsed": )[^,\n]+', r'\1"*"', stdout),
+        "stderr": stderr.partition("\n")[0],
     }
 
 
