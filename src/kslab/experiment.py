@@ -127,7 +127,8 @@ def evaluate_experiment(
     then unknown ones.  The required words are produced only to quote
     the first few missing ones.  Sums run over the sorted words, and the
     multipartite lhs is a correctly rounded ``math.fsum``, so it does
-    not depend on row order.
+    not depend on row order.  An lhs or sigma that overflows the float
+    range raises ValueError.
     """
     count, needed, words = _required(kind, n)
     unknown = sorted(word for word in table if not needed(word))
@@ -152,8 +153,14 @@ def evaluate_experiment(
     if kind == "two-partite":
         lhs, bound = 1.0 + values[0] + values[1] - values[2], 2.0
     else:
-        lhs, bound = math.fsum(values), multipartite_bound(n)
+        try:
+            lhs = math.fsum(values)
+        except OverflowError:  # a partial sum left the float range
+            lhs = math.inf
+        bound = multipartite_bound(n)
     sigma = math.hypot(*sigmas)
+    if not (math.isfinite(lhs) and math.isfinite(sigma)):
+        raise ValueError(f"{kind} sums overflow: lhs {lhs}, sigma {sigma}")
     return InequalityReport(
         kind=kind,
         n=n,

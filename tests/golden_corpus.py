@@ -88,6 +88,9 @@ CASES: dict[str, list[str]] = {
     "check_oversized_header": _check("oversized_header.csv", "--kind", "two"),
     "check_missing_file": _check("no_such_file.csv", "--kind", "two"),
     "check_negative_k": _check("werner.csv", "--kind", "two", "--k=-inf"),
+    "check_overflow_two": _check("overflow_two.csv", "--kind", "two"),
+    "check_overflow_multi": _check("overflow_multi.csv", "--kind", "multi"),
+    "check_overflow_sigma": _check("overflow_sigma.csv", "--kind", "multi"),
     "dense_pi": _dense("pi.txt"),
     "dense_bell": _dense("bell.txt"),
     "dense_bell_multi": _dense("bell.txt", "--kind", "multi"),

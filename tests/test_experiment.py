@@ -235,6 +235,25 @@ class TestEvaluateTwoPartite:
             evaluate_experiment(table, "two-partite", 2)
 
 
+class TestEvaluateOverflow:
+    @pytest.mark.parametrize(
+        ("rows", "kind", "n"),
+        [
+            (["XX,1e308,1e308", "YY,1e308,1e308", "ZZ,1e308,1e308"], "two-partite", 2),
+            # fsum raises on its partial sum instead of returning inf
+            (["II,1e308,1e308", "ZZ,1e308,1e308"], "multipartite", 2),
+            # the lhs cancels to 0; only sigma overflows
+            (["III,1e308,1e308", "IZZ,-1e308,1e308", "ZIZ,1e308,1e308", "ZZI,-1e308,1e308"],
+             "multipartite", 3),
+        ],
+    )
+    def test_overflowing_sums_are_rejected(self, rows, kind, n):
+        # every row passes its own checks, since |value| <= 1 + 3 sigma
+        table = ingest_correlators(csv_of(rows))
+        with pytest.raises(ValueError, match=f"^{kind} sums overflow: lhs "):
+            evaluate_experiment(table, kind, n)
+
+
 class TestEvaluateMultipartite:
     def test_ghz_three_sites(self):
         rows = ["III,1,0", "IZZ,1,0", "ZIZ,1,0", "ZZI,1,0"]
