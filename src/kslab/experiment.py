@@ -26,8 +26,10 @@ def ingest_correlators(source: str | IO[str]) -> dict[str, tuple[float, float]]:
     reads ``"YY": (0.5, s)``.  Rows are checked in order for three fields,
     a float value and sigma, a Hermitian Pauli word, a finite value, a
     finite sigma >= 0, |value| <= 1 + 3 sigma and new letters.  A failed
-    check, a line over ``LINE_LIMIT`` characters or a record the csv
-    module rejects raises ValueError naming its line, counted in the file.
+    check, a record (the header or a row, over however many lines its
+    quoted fields span) of more than ``LINE_LIMIT`` characters, or a
+    record the csv module rejects raises ValueError naming its line,
+    counted in the file.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8", newline="") as fh:
@@ -36,13 +38,14 @@ def ingest_correlators(source: str | IO[str]) -> dict[str, tuple[float, float]]:
 
 
 def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
-    lineno = 0
+    lineno = taken = 0  # taken: characters read of the current record
 
     def lines() -> Iterator[str]:
-        nonlocal lineno
-        while line := fh.readline(LINE_LIMIT + 1):
+        nonlocal lineno, taken
+        while line := fh.readline(LINE_LIMIT - taken + 1):
             lineno += 1
-            if len(line) > LINE_LIMIT:
+            taken += len(line)
+            if taken > LINE_LIMIT:
                 raise ValueError(f"longer than {LINE_LIMIT} characters")
             yield line
 
@@ -50,11 +53,13 @@ def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
     try:
         reader = csv.reader(lines())
         header = next(reader, None)
+        taken = 0
         if header is None:
             raise ValueError("empty correlator file")
         if [h.strip().lower() for h in header] != ["word", "value", "sigma"]:
             raise ValueError(f"expected header word,value,sigma, got {header!r}")
         for row in reader:
+            taken = 0
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:

@@ -43,8 +43,9 @@ DENSE_CHECK_LIMIT = 6
 SITE_LIMIT = 1023
 # The group table checks closure over all 4^n products.
 GROUP_LIMIT = 12
-# Characters in one line of an input file, line ending included: a
-# correlator CSV line or a dense state's site-count line.
+# Characters in one record of an input file, line endings included: a
+# correlator CSV record (over every line its quoted fields span) or a
+# dense state's site-count line.
 LINE_LIMIT = 1 << 20
 # Products per block of the vectorized closure check: 2^18 int64 entries
 # are 2 MB per array.

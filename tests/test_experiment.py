@@ -151,6 +151,29 @@ class TestIngestion:
         with pytest.raises(ValueError, match=f"^line 2: longer than {LINE_LIMIT} characters$"):
             ingest_correlators(io.StringIO(f"word,value,sigma\n,{commas}\n"))
 
+    @pytest.mark.parametrize(("header", "first"), [("", 1), ("word,value,sigma\n", 2)])
+    def test_record_limit_spans_lines(self, header, first):
+        # quoted newlines split a record over many lines, but the record
+        # as a whole may hold LINE_LIMIT characters and is refused unread
+        # past them; the header is bounded the same way
+        fields = (LINE_LIMIT - 1) // 5
+        record = '"a\n",' * fields + "\n"
+        assert len(record) == LINE_LIMIT
+        with pytest.raises(ValueError, match=f"^line {first + fields}: expected "):
+            ingest_correlators(io.StringIO(header + record))
+        with pytest.raises(
+            ValueError, match=f"^line {first + fields}: longer than {LINE_LIMIT} characters$"
+        ):
+            ingest_correlators(io.StringIO(header + '"a\n",' + record))
+
+    def test_each_record_has_its_own_limit(self):
+        # sixteen two-line rows of a tenth of LINE_LIMIT characters each
+        words = required_words("multipartite", 5)
+        pad = " " * (LINE_LIMIT // 10)
+        rows = "".join(f'{w},"0.25\n{pad}",0\n' for w in words)
+        table = ingest_correlators(io.StringIO("word,value,sigma\n" + rows))
+        assert table == dict.fromkeys(words, (0.25, 0.0))
+
     def test_duplicate_word_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ingest_correlators(csv_of(["XX,0.5,0", "XX,0.6,0"]))
