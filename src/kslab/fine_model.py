@@ -408,8 +408,9 @@ def random_commuting_family(
 ) -> list[np.ndarray]:
     """Hermitian matrices with small-integer spectra sharing one random
     eigenbasis, so they commute by construction."""
-    if not 1 <= n <= 6:
-        raise ValueError("family generator covers 1 to 6 sites")
+    sites = DIM_LIMIT.bit_length() - 1  # the largest n with 2^n <= DIM_LIMIT
+    if not 1 <= n <= sites:
+        raise ValueError(f"family generator covers 1 to {sites} sites")
     dim = 1 << n
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     unitary, upper = np.linalg.qr(ginibre)

@@ -8,6 +8,7 @@ from oracle import LETTER, dense
 
 from kslab.errors import VerificationError
 from kslab.fine_model import (
+    DIM_LIMIT,
     _cluster,
     _near,
     _projector,
@@ -51,6 +52,13 @@ def pi_z_model():
 
 
 class TestBuildModel:
+    def test_family_generator_stops_at_the_model_limit(self):
+        rng = np.random.default_rng(5)
+        assert random_commuting_family(rng, 6, count=1)[0].shape == (DIM_LIMIT, DIM_LIMIT)
+        for n in (0, 7):
+            with pytest.raises(ValueError, match="^family generator covers 1 to 6 sites$"):
+                random_commuting_family(rng, n)
+
     def test_pi_state_weights_and_joint_values(self):
         model = pi_z_model()
         assert len(model.weights) == 4
