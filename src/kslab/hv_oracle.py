@@ -6,11 +6,12 @@ Compound-word values are always derived by the product rule, carrying
 each word's intrinsic sign.  This module recovers the classical bound by
 evaluating every assignment (a grid of high-half by low-half site
 codes, swept a block of rows at a time as outer products of half-site
-tables), and verifies the assignment identity behind the bound in exact
+products), and verifies the assignment identity behind the bound in exact
 integer arithmetic, a fixed-size block of codes at a time: all 4^n codes
 when they fit the budget, otherwise a sample read from
 ``random.Random(104729)`` as the low 2n bits of each little-endian 64-bit
-word, so memory stays flat in the budget.
+word, so memory stays flat in the budget.  Both take their site products
+from one kernel, ``_signed_products``.
 
 The signed word sums over a family half, sum_q s_q (-1)^popcount(m & z_q),
 are read from that half's Walsh-Hadamard spectrum: one O(n 2^n)
@@ -160,30 +161,17 @@ def halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
     return _spectrum(n, False).take(_word_masks(n, ints))
 
 
-def _site_products(k: int, ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of prod_j (vx_j + i*vy_j) over k sites for
-    each code (vx in the low k bits, vy in the next k), multiplied out
-    site by site."""
-    re = np.ones(ints.shape[0], dtype=np.int64)
-    im = np.zeros(ints.shape[0], dtype=np.int64)
+def _signed_products(k: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of prod_j (vx_j + i*vy_j) * prod_j vx_j over k sites for each
+    int64 code (vx in the low k bits, vy in the next k), multiplied out site
+    by site: the one kernel of the bound sweep and the identity check."""
+    re = np.ones(codes.shape[0], dtype=np.int64)
+    im = np.zeros(codes.shape[0], dtype=np.int64)
     for j in range(k):
-        vx = 1 - 2 * ((ints >> j) & 1)
-        vy = 1 - 2 * ((ints >> (k + j)) & 1)
+        vx = 1 - 2 * ((codes >> j) & 1)
+        vy = 1 - 2 * ((codes >> (k + j)) & 1)
         re, im = re * vx - im * vy, re * vy + im * vx
-    return re, im
-
-
-def _x_signs(k: int, ints: np.ndarray) -> np.ndarray:
-    """prod_j vx_j over k sites for each code."""
-    return 1 - 2 * (np.bitwise_count(ints & ((1 << k) - 1)) & 1).astype(np.int64)
-
-
-def _half_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of prod_j (vx_j + i*vy_j), each times prod_j vx_j, for
-    every one of the 4^k codes of k sites."""
-    ints = np.arange(1 << (2 * k), dtype=np.int64)
-    re, im = _site_products(k, ints)
-    x_sign = _x_signs(k, ints)
+    x_sign = 1 - 2 * (np.bitwise_count(codes & ((1 << k) - 1)) & 1).astype(np.int64)
     return re * x_sign, im * x_sign
 
 
@@ -208,14 +196,14 @@ def bruteforce_report(n: int) -> BoundReport:
     checked word sums, sweeping a grid of half-site codes on one process.
 
     With the sites split into a low and a high half, g = aL*aH - bL*bH,
-    where (a, b) are a half's (Re, Im) of prod (vx + i*vy) times its
-    prod vx (meet in the middle).  Rows of the grid are the 4^ceil(n/2)
-    high-half codes in code order, columns the 4^floor(n/2) low-half
-    codes grouped by word mask, and a block of whole rows is two outer
-    products of the half tables.  Every entry is compared with the even
-    spectrum at its word mask (high-half mask, low-half mask); in a row
-    those sums come in runs of 2^floor(n/2) equal entries, one per
-    low-half mask.  A mismatch names the smallest mismatching code.
+    where (a, b) are the ``_signed_products`` of a half's codes (meet in
+    the middle).  Rows of the grid are the 4^ceil(n/2) high-half codes in
+    code order, columns the 4^floor(n/2) low-half codes grouped by word
+    mask, and a block of whole rows is two outer products of the halves'
+    (a, b).  Every entry is compared with the even spectrum at its word
+    mask (high-half mask, low-half mask); in a row those sums come in runs
+    of 2^floor(n/2) equal entries, one per low-half mask.  A mismatch
+    names the smallest mismatching code.
 
     Once every code has matched, g takes exactly the spectrum's values,
     since every word mask m is hit.  The smallest code with mask m is m
@@ -230,13 +218,13 @@ def bruteforce_report(n: int) -> BoundReport:
     high_sites = n - low_sites
     low = _mask_major_codes(low_sites)
     high = np.arange(1 << (2 * high_sites), dtype=np.int64)
-    a_low, b_low = (t[low].astype(SWEEP_DTYPE) for t in _half_table(low_sites))
-    a_high, b_high = (t.astype(SWEEP_DTYPE) for t in _half_table(high_sites))
+    a_low, b_low = (t.astype(SWEEP_DTYPE) for t in _signed_products(low_sites, low))
+    a_high, b_high = (t.astype(SWEEP_DTYPE) for t in _signed_products(high_sites, high))
     code_low = _place(n, low_sites, 0, low)
     code_high = _place(n, high_sites, low_sites, high)
     spectrum = _spectrum(n, False)
     expected = spectrum.astype(SWEEP_DTYPE).reshape(1 << high_sites, 1 << low_sites, 1)
-    mask_high = (high & ((1 << high_sites) - 1)) ^ (high >> high_sites)
+    mask_high = _word_masks(high_sites, high)
 
     rows, cols = a_high.shape[0], a_low.shape[0]
     step = min(max(1, _BLOCK // cols), rows)
@@ -317,8 +305,8 @@ class HvknReport:
 
 
 def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
-    """Check that the real and imaginary parts of prod_j (vx_j + i*vy_j)
-    equal the signed word sums over the non-diagonal family halves.
+    """Check that ``_signed_products``, the kernel of the bound sweep,
+    equals the signed word sums over the non-diagonal family halves.
 
     Exhaustive when 2^{2n} fits the budget, otherwise a fixed-seed
     uniform sample of that size: the low 2n bits of each little-endian
@@ -326,9 +314,8 @@ def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
     two, so those bits are uniform).  Codes are checked in fixed-size
     blocks, so memory stays flat in the budget; the stream fills whole
     32-bit words in order, so the sample does not depend on the block
-    size.  The first failure is the first in sample order.  The products
-    are multiplied out site by site; the word sums are gathered from the
-    two family spectra.  All arithmetic is exact.
+    size.  The first failure is the first in sample order.  The word sums
+    are gathered from the two family spectra.  All arithmetic is exact.
     """
     if not 2 <= n <= HVKN_LIMIT:
         raise ValueError(f"identity check needs n >= 2 and n <= {HVKN_LIMIT}, got {n}")
@@ -351,10 +338,9 @@ def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
         else:
             words = np.frombuffer(stream.randbytes(8 * (end - begin)), dtype="<i8")
             ints = words & (total - 1)
-        re, im = _site_products(n, ints)
+        re, im = _signed_products(n, ints)
         masks = _word_masks(n, ints)
-        p_sign = _x_signs(n, ints)
-        bad = (re != p_sign * even.take(masks)) | (im != p_sign * odd.take(masks))
+        bad = (re != even.take(masks)) | (im != odd.take(masks))
         block_failures = int(bad.sum())
         if block_failures and first is None:
             first = Assignment.from_bits(n, int(ints[int(np.argmax(bad))]))

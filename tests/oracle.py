@@ -266,14 +266,17 @@ REFERENCE_BLOCK = 1 << 16
 def bruteforce_reference(n: int, cross_check: bool = True) -> tuple[int, int, int]:
     """(max g, smallest code attaining it, min g) over all 4^n codes, in
     blocks of consecutive codes, each gathered from the two half tables
-    and compared with ``halfgroup_sums``; raises ``VerificationError`` at
-    the first mismatching code.  The half tables are looked up on
-    ``kslab.hv_oracle`` at call time, so a patched table reaches both
+    (the signed site products of every half code, in code order) and
+    compared with ``halfgroup_sums``; raises ``VerificationError`` at the
+    first mismatching code.  ``_signed_products`` is looked up on
+    ``kslab.hv_oracle`` at call time, so a patched kernel reaches both
     sweeps."""
     low_sites = n // 2
     high_sites = n - low_sites
-    a_low, b_low = hv_oracle._half_table(low_sites)
-    a_high, b_high = hv_oracle._half_table(high_sites)
+    low_codes = np.arange(1 << (2 * low_sites), dtype=np.int64)
+    high_codes = np.arange(1 << (2 * high_sites), dtype=np.int64)
+    a_low, b_low = hv_oracle._signed_products(low_sites, low_codes)
+    a_high, b_high = hv_oracle._signed_products(high_sites, high_codes)
     low_mask = (1 << low_sites) - 1
     high_mask = (1 << high_sites) - 1
 
@@ -312,15 +315,14 @@ def hvkn_reference_codes(n: int, sample_budget: int = 100_000) -> np.ndarray:
 
 def verify_hvkn_reference(n: int, sample_budget: int = 100_000) -> HvknReport:
     """``verify_hvkn`` in one piece: every code of ``hvkn_reference_codes``
-    checked as a single array.  The spectra are looked up on
-    ``kslab.hv_oracle`` at call time, so a patched spectrum reaches both
+    checked as a single array.  The kernel and the spectra are looked up
+    on ``kslab.hv_oracle`` at call time, so a patched one reaches both
     checks."""
     ints = hvkn_reference_codes(n, sample_budget)
-    re_part, im_part = hv_oracle._site_products(n, ints)
+    re_part, im_part = hv_oracle._signed_products(n, ints)
     masks = hv_oracle._word_masks(n, ints)
-    p_sign = hv_oracle._x_signs(n, ints)
-    word_re = p_sign * hv_oracle._spectrum(n, False).take(masks)
-    word_im = p_sign * hv_oracle._spectrum(n, True).take(masks)
+    word_re = hv_oracle._spectrum(n, False).take(masks)
+    word_im = hv_oracle._spectrum(n, True).take(masks)
 
     bad = (re_part != word_re) | (im_part != word_im)
     failures = int(bad.sum())

@@ -64,19 +64,19 @@ def oracle_halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
     return parity_dot(masks, *family_half(n, odd=False))
 
 
-def doctor_half_table(monkeypatch, entries) -> None:
-    """Add 1 to the real-part entry at each (sites, code) of ``entries``
-    in every table ``_half_table`` builds from now on."""
-    original = kslab.hv_oracle._half_table
+def doctor_signed_products(monkeypatch, entries) -> None:
+    """Add 1 to the real part at each (sites, code) of ``entries`` in
+    every product ``_signed_products`` returns from now on."""
+    original = kslab.hv_oracle._signed_products
 
-    def doctored(k: int) -> tuple[np.ndarray, np.ndarray]:
-        re, im = original(k)
+    def doctored(k: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        re, im = original(k, codes)
         for sites, code in entries:
             if sites == k:
-                re[code] += 1
+                re[codes == code] += 1
         return re, im
 
-    monkeypatch.setattr(kslab.hv_oracle, "_half_table", doctored)
+    monkeypatch.setattr(kslab.hv_oracle, "_signed_products", doctored)
 
 
 class TestAssignment:
@@ -189,7 +189,7 @@ class TestBruteforceBound:
     @pytest.mark.parametrize(
         "n, entries",
         [
-            # one entry of the table both halves share at n = 10
+            # one code of the five sites both halves have at n = 10
             (10, ((5, 995),)),
             # the first block with a mismatch (row 0, where vy_0 = -1) is
             # not the one holding the smallest mismatching code (row 16,
@@ -198,7 +198,7 @@ class TestBruteforceBound:
         ],
     )
     def test_mismatch_names_the_same_code_as_the_reference(self, monkeypatch, n, entries):
-        doctor_half_table(monkeypatch, entries)
+        doctor_signed_products(monkeypatch, entries)
         with pytest.raises(VerificationError, match="first at Assignment") as reference:
             bruteforce_reference(n)
         with pytest.raises(VerificationError) as grid:
