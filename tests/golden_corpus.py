@@ -105,6 +105,9 @@ CASES: dict[str, list[str]] = {
     "dense_empty": _dense("dense_empty.txt"),
     "dense_not_hermitian": _dense("dense_not_hermitian.txt"),
     "dense_trace": _dense("dense_trace.txt"),
+    "dense_not_psd": _dense("dense_not_psd.txt"),
+    "dense_psd_within_tolerance": _dense("dense_psd_within_tolerance.txt"),
+    "dense_not_psd_second_panel": _dense("dense_not_psd_panel2.txt", "--kind", "multi"),
     "dense_missing_file": _dense("no_such_file.txt"),
     **{
         f"bound_{n}_workers_{workers}": [
@@ -126,6 +129,8 @@ CASES: dict[str, list[str]] = {
     "violate_product_multi": _violate("product:++", "--kind", "multi"),
     "violate_werner": _violate("werner:lambda=0.5"),
     "violate_werner_multi": _violate("werner:lambda=0.5", "--kind", "multi"),
+    "violate_unknown_field": _violate("ghz:n=3,alpha=1,beta=0,gamma=5"),
+    "violate_repeated_field": _violate("werner:lambda=0.5,lambda=0.9"),
     "group_3": ["group", "--n", "3"],
     "scan_csv": ["scan", "--from", "2", "--to", "6"],
     "scan_json": ["scan", "--from", "2", "--to", "6", "--format", "json"],
