@@ -47,8 +47,9 @@ DENSE_ENTRY_CHARS = 256
 _NORM_SLACK = 1e-12
 
 
-# Rows per band of the Hermitian check: 64 rows of a 2^10 matrix are 1 MB.
-_HERMITIAN_BAND = 64
+# Rows per band of the Hermitian check and columns per panel of the
+# positivity factor: 32 rows of a 2^10 matrix are 0.5 MB.
+_BAND = 32
 
 
 def _hermitian_defect(rho: np.ndarray) -> float:
@@ -57,10 +58,48 @@ def _hermitian_defect(rho: np.ndarray) -> float:
     import numpy as np
 
     defect = 0.0
-    for s in range(0, rho.shape[0], _HERMITIAN_BAND):
-        band = slice(s, s + _HERMITIAN_BAND)
+    for s in range(0, rho.shape[0], _BAND):
+        band = slice(s, s + _BAND)
         defect = max(defect, float(np.abs(rho[band] - rho[:, band].conj().T).max()))
     return defect
+
+
+def _shifted_factor_is_finite(rho: np.ndarray) -> bool:
+    """True when rho + ATOL_SCALAR*I has a Cholesky factor L whose
+    entries are all finite, that is, when no eigenvalue of rho lies below
+    -ATOL_SCALAR (up to rounding).
+
+    L is built left-looking, one panel of ``_BAND`` columns at a time:
+    the panel's columns of rho (lower triangle only), the shift on its
+    diagonal, less one product per earlier panel; its top block is
+    factored and the rows below are solved against that factor.  Only
+    the panels are kept, about half the matrix, and rho is not written.
+    A pivot that is not positive raises in the factorization; one that
+    is NaN (an entry that overflowed) passes through it and is caught by
+    the finiteness test.
+    """
+    import numpy as np
+
+    dim = rho.shape[0]
+    panels: list[np.ndarray] = []  # panels[k]: rows k*_BAND.. of L's panel k
+    for s in range(0, dim, _BAND):
+        width = min(_BAND, dim - s)
+        panel = rho[s:, s : s + width].copy()
+        panel[range(width), range(width)] += ATOL_SCALAR
+        for k, done in enumerate(panels):
+            rows = done[s - k * _BAND :]
+            panel -= rows @ rows[:width].conj().T
+        try:
+            top = np.linalg.cholesky(panel[:width])
+            # L21 L11^H = A21, solved as conj(L11) L21^T = A21^T
+            below = np.linalg.solve(top.conj(), panel[width:].T).T
+        except np.linalg.LinAlgError:
+            return False
+        if not (np.isfinite(top).all() and np.isfinite(below).all()):
+            return False
+        panel[:width], panel[width:] = top, below
+        panels.append(panel)
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +108,11 @@ class DenseState:
 
     The finiteness, Hermitian (checked in bands of rows), trace and
     positivity checks run in that order; the first to fail raises
-    ``ValueError``.  The state holds its own copy of the matrix, so a
-    caller that later changes its array leaves the state unchanged.
+    ``ValueError``.  Positivity means that rho + ATOL_SCALAR*I has a
+    finite Cholesky factor, so an eigenvalue down to -ATOL_SCALAR is
+    accepted; the factor takes about half the matrix's memory.  The
+    state holds its own copy of the matrix, so a caller that later
+    changes its array leaves the state unchanged.
     """
 
     rho: np.ndarray
@@ -97,7 +139,10 @@ class DenseState:
 
 
 def _check_density(rho: np.ndarray) -> None:
-    """The checks of ``DenseState``, on a complex array."""
+    """The checks of ``DenseState``, on a complex array, which is read
+    and never written: entries finite, |rho - rho^H| and |Tr rho - 1| at
+    most ATOL_SCALAR, and rho + ATOL_SCALAR*I with a finite Cholesky
+    factor (``_shifted_factor_is_finite``)."""
     import numpy as np
 
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -116,7 +161,7 @@ def _check_density(rho: np.ndarray) -> None:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho) - 1) > ATOL_SCALAR:
             raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(rho).min() < -ATOL_SCALAR:
+        if not _shifted_factor_is_finite(rho):
             raise ValueError("density matrix is not positive semidefinite")
 
 

@@ -108,6 +108,7 @@ CASES: dict[str, list[str]] = {
     "dense_not_psd": _dense("dense_not_psd.txt"),
     "dense_psd_within_tolerance": _dense("dense_psd_within_tolerance.txt"),
     "dense_not_psd_second_panel": _dense("dense_not_psd_panel2.txt", "--kind", "multi"),
+    "dense_overflow": _dense("dense_overflow.txt", "--kind", "multi"),
     "dense_missing_file": _dense("no_such_file.txt"),
     **{
         f"bound_{n}_workers_{workers}": [

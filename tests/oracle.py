@@ -11,6 +11,8 @@ blocked numpy enumeration of ``bruteforce_report`` replaces.
 half-group terms, the route that the closed forms in ``kslab.states``
 replace.  ``read_dense_reference`` is the whole-file, entry-by-entry
 dense-state parser that the streamed ``read_dense_state`` replaces.
+``positive_semidefinite_reference`` is the eigenvalue verdict that the
+shifted Cholesky factor of ``DenseState``'s positivity check replaces.
 ``closure_break_reference`` is the scalar double loop over ``pauli_mul``
 that the vectorized ``closure_break`` replaces.  ``bruteforce_reference``
 is the code-order block loop that the row-block grid sweep of
@@ -46,6 +48,7 @@ from kslab.pauli import (
     pauli_mul,
 )
 from kslab.states import (
+    ATOL_SCALAR,
     DenseState,
     GhzSuperposition,
     ProductState,
@@ -247,6 +250,11 @@ def read_dense_reference(path: str) -> DenseState:
             except ValueError:
                 raise ValueError(f"{path}: row {i} entry {j} is not numeric") from None
     return DenseState(rows)
+
+
+def positive_semidefinite_reference(rho: np.ndarray) -> bool:
+    """No eigenvalue of the Hermitian matrix rho below -ATOL_SCALAR."""
+    return bool(np.linalg.eigvalsh(rho).min() >= -ATOL_SCALAR)
 
 
 def closure_break_reference(elements: list[PauliString]) -> tuple[int, int] | None:

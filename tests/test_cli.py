@@ -258,6 +258,25 @@ class TestViolate:
         assert len(result.stderr.splitlines()) == 1
         assert "trace is not 1" in result.stderr
 
+    def test_overflowing_spectrum_is_not_positive(self, tmp_path, kslab_env):
+        # finite, Hermitian, trace 1; eigenvalues +-2.4e308 overflow to NaN
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            "2\n0.25,0 1.7e308,1.7e308 0,0 0,0\n1.7e308,-1.7e308 0.25,0 0,0 0,0\n"
+            "0,0 0,0 0.25,0 0,0\n0,0 0,0 0,0 0.25,0\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "kslab.cli", "violate", "--state", f"dense:@{path}",
+             "--kind", "multi"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=kslab_env,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert result.stderr == "error: density matrix is not positive semidefinite\n"
+
     @pytest.mark.parametrize("header", ["100000", "-3", "0", "11"])
     def test_dense_header_out_of_range_is_usage_error(self, capsys, tmp_path, header):
         path = tmp_path / "state.txt"

@@ -4,7 +4,8 @@ Each subcommand must load only the kslab modules its route runs, the
 analytic subcommands must run without importing numpy, the
 assignment checks without importing numpy.random, and the lazily
 resolved package must export exactly the names it always has.  The
-identity check's memory is measured against its module's import alone.
+identity check's memory is measured against its module's import alone,
+and the dense-state check's against the matrix it checks.
 """
 
 from __future__ import annotations
@@ -208,6 +209,33 @@ def test_identity_check_adds_little_memory_to_its_import(kslab_env):
     scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss unit, in bytes
     assert import_only > bare  # the launcher's memory sets neither figure
     assert (checked - import_only) * scale < 4 << 20
+
+
+# Builds the n = 10 state (I + J/dim)/(dim + 1), J all ones, in place,
+# so that the matrix is the largest array the statement holds.
+_DENSE10 = """
+import numpy as np
+from kslab.states import _check_density
+dim = 1 << 10
+rho = np.full((dim, dim), 1 / (dim * (dim + 1)), dtype=complex)
+rho.flat[:: dim + 1] += 1 / (dim + 1)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_density_check_adds_less_than_the_matrix_to_memory(kslab_env):
+    # one BLAS thread, so that per-thread BLAS buffers stay out of the figure
+    env = dict(kslab_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, "pass", _DENSE10, _DENSE10 + "_check_density(rho)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    bare, built, checked = json.loads(result.stdout)
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss unit, in bytes
+    assert built > bare
+    # the factor's panels hold about half the matrix; eigvalsh took a whole copy
+    assert (checked - built) * scale < 0.75 * (16 << 20)
 
 
 def test_bare_package_import_loads_submodules_on_access(kslab_env):

@@ -15,6 +15,7 @@ from oracle import (
     dense,
     half_group_term_sum,
     oracle_matrix,
+    positive_semidefinite_reference,
     random_word,
     read_dense_reference,
 )
@@ -30,6 +31,7 @@ from kslab.pauli import (
     lambda_element,
 )
 from kslab.states import (
+    ATOL_SCALAR,
     DENSE_ENTRY_CHARS,
     DenseState,
     GhzSuperposition,
@@ -388,6 +390,48 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 DenseState(np.array(rho, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "n, row, col, value",
+        [
+            (1, 0, 1, 1.7e308 + 1.7e308j),  # eigenvalues +-2.4e308 overflow
+            (1, 0, 1, 1e154),
+            (1, 0, 1, 1e200),
+            (1, 0, 1, 1.7e308),
+            (10, 3, 900, 1.7e308),
+        ],
+    )
+    def test_overflowing_off_diagonal_is_not_positive(self, n, row, col, value):
+        # finite, Hermitian and of trace 1, but far from positive
+        rho = np.eye(1 << n, dtype=complex) / (1 << n)
+        rho[row, col], rho[col, row] = value, np.conj(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                DenseState(rho)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_positivity_matches_the_eigenvalue_oracle(self, n):
+        # least eigenvalue on both sides of -ATOL_SCALAR, in a random basis
+        rng = np.random.default_rng(2000 + n)
+        dim = 1 << n
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        basis = np.linalg.qr(g)[0]
+        for scale in (0, 0.5, 0.9, 0.99, 1.01, 1.1, 2, 10):
+            least = -scale * ATOL_SCALAR
+            spectrum = rng.random(dim)
+            spectrum *= (1 - least) / spectrum[1:].sum()
+            spectrum[0] = least
+            rho = (basis * spectrum) @ basis.conj().T
+            expected = positive_semidefinite_reference(rho)
+            assert expected == (scale < 1)
+            try:
+                DenseState._adopt(rho)
+            except ValueError as exc:
+                assert str(exc) == "density matrix is not positive semidefinite"
+                assert not expected, scale
+            else:
+                assert expected, scale
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_values(self, bad):
