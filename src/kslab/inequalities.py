@@ -13,15 +13,15 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .pauli import SITE_LIMIT
-from .states import (
-    GhzSuperposition,
-    ProductState,
-    StateModel,
-    bell_fidelity,
-    f_value,
-)
+
+if TYPE_CHECKING:
+    from .states import StateModel
+
+# ``states`` is imported by the functions that evaluate a state, so that
+# the bound, the sweep and the correlator check do not load it.
 
 # Counts as a violation only beyond this band when no uncertainty is given.
 # The band is absolute, while the rounding error of f_value grows with F
@@ -74,6 +74,8 @@ def decide_violation(
 def two_partite_report(state: StateModel) -> InequalityReport:
     """Evaluate 1 + <xx> + <yy> - <zz> = 4 x Bell fidelity against the
     classical bound 2."""
+    from .states import bell_fidelity
+
     if state.n != 2:
         raise ValueError("two-partite inequality needs n = 2")
     fidelity = bell_fidelity(state)
@@ -97,6 +99,8 @@ def multipartite_bound(n: int) -> float:
 
 
 def multipartite_report(state: StateModel) -> InequalityReport:
+    from .states import f_value
+
     lhs = f_value(state)
     bound = multipartite_bound(state.n)
     return InequalityReport(
@@ -112,6 +116,8 @@ def multipartite_report(state: StateModel) -> InequalityReport:
 def scan(n_min: int, n_max: int) -> list[tuple[str, InequalityReport]]:
     """Multipartite reports for the even GHZ state and the all-up product
     state, one labeled row each per n."""
+    from .states import GhzSuperposition, ProductState
+
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
     rows: list[tuple[str, InequalityReport]] = []

@@ -160,10 +160,14 @@ def test_parser_loads_no_handler_module(kslab_env):
 FOOTPRINTS = {
     "group": (["group", "--n", "3"], {"kslab.pauli"},
               {"kslab.experiment", "kslab.inequalities", "kslab.states"}),
+    "bound-bruteforce": (["bound", "--n", "4", "--bruteforce"], {"kslab.hv_oracle"},
+                         {"kslab.states", "kslab.fine_model", "kslab.experiment"}),
     "check-multi": (["check", "--file", "{multi}", "--kind", "multi"], {"kslab.experiment"},
-                    {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates", "numpy"}),
+                    {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates",
+                     "kslab.states", "numpy"}),
     "check-two": (["check", "--file", "{two}", "--kind", "two"], {"kslab.experiment"},
-                  {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates", "numpy"}),
+                  {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates",
+                   "kslab.states", "numpy"}),
     "certificates": (["verify", "--suite", "certificates"], {"kslab.certificates"},
                      {"kslab.hv_oracle", "numpy"}),
 }
