@@ -13,6 +13,7 @@ import itertools
 import math
 from typing import IO, Callable, Iterator
 
+from .errors import undecodable_line
 from .inequalities import InequalityReport, decide_violation, multipartite_bound
 from .pauli import LINE_LIMIT, SITE_LIMIT, LambdaIndex, PauliString, lambda_element
 
@@ -29,15 +30,17 @@ def ingest_correlators(source: str | IO[str]) -> dict[str, tuple[float, float]]:
     check, a record (the header or a row, over however many lines its
     quoted fields span) of more than ``LINE_LIMIT`` characters, or a
     record the csv module rejects raises ValueError naming its line,
-    counted in the file.
+    counted in the file.  A file is read as UTF-8 after an optional
+    byte-order mark, and a byte that does not decode is reported by its
+    line.
     """
     if isinstance(source, str):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return _read_correlators(fh)
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            return _read_correlators(fh, source)
     return _read_correlators(source)
 
 
-def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
+def _read_correlators(fh: IO[str], path: str | None = None) -> dict[str, tuple[float, float]]:
     lineno = taken = 0  # taken: characters read of the current record
 
     def lines() -> Iterator[str]:
@@ -80,6 +83,8 @@ def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
                 raise ValueError(f"duplicate word {word!r}")
             table[letters] = (-value if parsed.sign_exp else value, sigma)
     except (csv.Error, ValueError) as exc:
+        if isinstance(exc, UnicodeDecodeError) and path is not None:
+            raise ValueError(undecodable_line(path)) from None
         raise ValueError(f"line {max(lineno, 1)}: {exc}") from None
     return table
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import VerificationError
+from .errors import VerificationError, undecodable_line
 from .pauli import (
     DENSE_STATE_LIMIT,
     LINE_LIMIT,
@@ -453,17 +453,25 @@ def read_dense_state(path: str) -> DenseState:
     Each row is checked as it is read: a malformed row is reported by
     row (and entry) before the row count is compared, and rows past the
     2^n-th are counted but not parsed.  The state adopts the filled
-    buffer instead of copying it.
+    buffer instead of copying it.  The file is read as UTF-8 after an
+    optional byte-order mark, and a byte that does not decode is an
+    error naming its line.
     """
     import numpy as np
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lineno = 0
 
         def next_line(limit: int) -> str | None:
             """The next non-blank line, stripped; None at the end of the file."""
             nonlocal lineno
-            while line := fh.readline(limit + 1):
+            while True:
+                try:
+                    line = fh.readline(limit + 1)
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}: {undecodable_line(path)}") from None
+                if not line:
+                    return None
                 lineno += 1
                 if len(line) > limit:
                     raise ValueError(
@@ -471,7 +479,6 @@ def read_dense_state(path: str) -> DenseState:
                     )
                 if text := line.strip():
                     return text
-            return None
 
         header = next_line(LINE_LIMIT)
         if header is None:

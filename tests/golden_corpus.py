@@ -91,6 +91,8 @@ CASES: dict[str, list[str]] = {
     "check_overflow_two": _check("overflow_two.csv", "--kind", "two"),
     "check_overflow_multi": _check("overflow_multi.csv", "--kind", "multi"),
     "check_overflow_sigma": _check("overflow_sigma.csv", "--kind", "multi"),
+    "check_bom": _check("bom.csv", "--kind", "two"),
+    "check_not_utf8": _check("not_utf8.csv", "--kind", "two"),
     "dense_pi": _dense("pi.txt"),
     "dense_bell": _dense("bell.txt"),
     "dense_bell_multi": _dense("bell.txt", "--kind", "multi"),
@@ -109,6 +111,8 @@ CASES: dict[str, list[str]] = {
     "dense_psd_within_tolerance": _dense("dense_psd_within_tolerance.txt"),
     "dense_not_psd_second_panel": _dense("dense_not_psd_panel2.txt", "--kind", "multi"),
     "dense_overflow": _dense("dense_overflow.txt", "--kind", "multi"),
+    "dense_bom": _dense("dense_bom.txt"),
+    "dense_not_utf8": _dense("dense_not_utf8.txt"),
     "dense_missing_file": _dense("no_such_file.txt"),
     **{
         f"bound_{n}_workers_{workers}": [

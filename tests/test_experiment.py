@@ -34,6 +34,31 @@ class TestIngestion:
         path.write_text(csv_of(WERNER_HALF).getvalue(), encoding="utf-8")
         assert len(ingest_correlators(str(path))) == 3
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "correlators.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + csv_of(WERNER_HALF).getvalue().encode())
+        assert ingest_correlators(str(path)) == ingest_correlators(csv_of(WERNER_HALF))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"word,value,sigma\nXX,0.5,0.02\nYY,0.5,0.02\nZZ,-0.5,\xff0.02\n",
+             "line 4: byte 0xff is not UTF-8"),
+            (b"wo\xffrd,value,sigma\nXX,0.5,0.02\n", "line 1: byte 0xff is not UTF-8"),
+            (b"word,value,sigma\r\n" + b"\r\n" * 3000 + b"YY,\xe2,0\r\n",
+             "line 3002: byte 0xe2 is not UTF-8"),
+            (b'word,value,sigma\n"Z\nZ",0.5,0\nYY,\xc3,0\n', "line 4: byte 0xc3 is not UTF-8"),
+        ],
+        ids=["line-4", "header", "deep-crlf", "quoted-newline"],
+    )
+    def test_undecodable_byte_is_named_by_line(self, tmp_path, text, message):
+        # the text layer decodes a buffer ahead, so the line comes from a rescan
+        path = tmp_path / "correlators.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as info:
+            ingest_correlators(str(path))
+        assert str(info.value) == message
+
     def test_header_is_case_and_space_tolerant(self):
         text = " Word , VALUE , Sigma \nZZ,0.25,0\n"
         assert ingest_correlators(io.StringIO(text)) == {"ZZ": (0.25, 0.0)}

@@ -597,6 +597,30 @@ class TestDenseReader:
         with pytest.raises(ValueError, match=f"line 1: longer than {LINE_LIMIT} characters"):
             read_dense_state(dense_file(tmp_path, ["0.5,0 0,0", "0,0 0.5,0"], header))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        state = random_density(2, np.random.default_rng(9))
+        plain = tmp_path / "plain.txt"
+        write_dense_state(str(plain), state)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert same_bits(read_dense_state(str(marked)).rho, state.rho)
+
+    @pytest.mark.parametrize(
+        "rows, line, byte",
+        [
+            (["0.5,0 0,0", "0,0 0.5,\xff"], 3, "0xff"),
+            (["0.5,0 0,0\r", "", "0,0 \xe20.5,0"], 4, "0xe2"),
+            (["0.5,0 0,0", *[""] * 5000, "0,0 0.5,0\xc3"], 5003, "0xc3"),  # past the first buffer
+        ],
+        ids=["last-row", "crlf-blank", "deep"],
+    )
+    def test_undecodable_byte_is_named_by_path_and_line(self, tmp_path, rows, line, byte):
+        path = tmp_path / "state.txt"
+        path.write_bytes("\n".join(["1", *rows]).encode("latin-1") + b"\n")
+        with pytest.raises(ValueError) as info:
+            read_dense_state(str(path))
+        assert str(info.value) == f"{path}: line {line}: byte {byte} is not UTF-8"
+
     def test_extra_rows_are_counted(self, tmp_path):
         path = dense_file(tmp_path, ["0.5,0 0,0", "0,0 0.5,0", "junk", "0,0 0,0"])
         with pytest.raises(ValueError, match="expected 2 matrix rows, found 4"):
