@@ -131,6 +131,7 @@ CASES: dict[str, list[str]] = {
     "violate_ghz": _violate("ghz:n=5,alpha=0.6,beta=0.8"),
     "violate_ghz_two": _violate("ghz:n=2,alpha=0.6,beta=0.8", "--kind", "two"),
     "violate_product": _violate("product:+-+-+"),
+    "violate_product_two_sites": _violate("product:+-"),
     "violate_product_multi": _violate("product:++", "--kind", "multi"),
     "violate_werner": _violate("werner:lambda=0.5"),
     "violate_werner_multi": _violate("werner:lambda=0.5", "--kind", "multi"),
