@@ -1,4 +1,4 @@
-"""Shared exception types, and where a text file stops being UTF-8."""
+"""Shared exception types, and the check every line of an input file passes."""
 
 import re
 
@@ -7,19 +7,17 @@ class VerificationError(Exception):
     """An internal consistency check failed (two routes disagreed)."""
 
 
-def undecodable_line(path: str) -> str:
-    """``line N: byte 0xXX is not UTF-8`` for the first byte of the file
-    at ``path`` that does not decode, lines counted as the readers count
-    them.
+def line_fault(line: str, length: int, limit: int) -> str | None:
+    """What is wrong with one line of input, or None when it is fine.
 
-    A text reader decodes a buffer ahead of the line it returns, so its
-    decode error cannot name the line; this reads the file again, a
-    bounded piece at a time, on that error path only.
+    The readers open files with ``errors="surrogateescape"``, so a byte
+    that is not UTF-8 arrives as a lone surrogate on the line that holds
+    it and is reported as ``byte 0xXX is not UTF-8``.  Otherwise a
+    ``length`` (the characters read so far of the line or record) over
+    ``limit`` is ``longer than L characters``.
     """
-    lineno = 1
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        while piece := fh.readline(1 << 16):
-            if bad := re.search("[\udc80-\udcff]", piece):
-                return f"line {lineno}: byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8"
-            lineno += piece.endswith("\n")
-    return "not UTF-8 text"
+    if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+        return f"byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8"
+    if length > limit:
+        return f"longer than {limit} characters"
+    return None

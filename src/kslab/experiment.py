@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import IO, Callable, Iterator
 
-from .errors import undecodable_line
+from .errors import line_fault
 from .inequalities import InequalityReport, decide_violation, multipartite_bound
 from .pauli import LINE_LIMIT, SITE_LIMIT, LambdaIndex, PauliString, lambda_element
 
@@ -30,17 +30,19 @@ def ingest_correlators(source: str | IO[str]) -> dict[str, tuple[float, float]]:
     check, a record (the header or a row, over however many lines its
     quoted fields span) of more than ``LINE_LIMIT`` characters, or a
     record the csv module rejects raises ValueError naming its line,
-    counted in the file.  A file is read as UTF-8 after an optional
-    byte-order mark, and a byte that does not decode is reported by its
-    line.
+    counted in the file, the first in reading order.  A file is read as
+    UTF-8 after an optional byte-order mark, and a byte that does not
+    decode is reported by its line; so is one in a text stream opened
+    with ``errors="surrogateescape"``.  A stream that decodes strictly
+    fails ahead of the line, so its bad byte is reported without one.
     """
     if isinstance(source, str):
-        with open(source, encoding="utf-8-sig", newline="") as fh:
-            return _read_correlators(fh, source)
+        with open(source, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            return _read_correlators(fh)
     return _read_correlators(source)
 
 
-def _read_correlators(fh: IO[str], path: str | None = None) -> dict[str, tuple[float, float]]:
+def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
     lineno = taken = 0  # taken: characters read of the current record
 
     def lines() -> Iterator[str]:
@@ -48,8 +50,8 @@ def _read_correlators(fh: IO[str], path: str | None = None) -> dict[str, tuple[f
         while line := fh.readline(LINE_LIMIT - taken + 1):
             lineno += 1
             taken += len(line)
-            if taken > LINE_LIMIT:
-                raise ValueError(f"longer than {LINE_LIMIT} characters")
+            if fault := line_fault(line, taken, LINE_LIMIT):
+                raise ValueError(fault)
             yield line
 
     table: dict[str, tuple[float, float]] = {}
@@ -82,9 +84,9 @@ def _read_correlators(fh: IO[str], path: str | None = None) -> dict[str, tuple[f
             if letters in table:
                 raise ValueError(f"duplicate word {word!r}")
             table[letters] = (-value if parsed.sign_exp else value, sigma)
+    except UnicodeDecodeError as exc:  # from a strict caller stream
+        raise ValueError(f"byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     except (csv.Error, ValueError) as exc:
-        if isinstance(exc, UnicodeDecodeError) and path is not None:
-            raise ValueError(undecodable_line(path)) from None
         raise ValueError(f"line {max(lineno, 1)}: {exc}") from None
     return table
 

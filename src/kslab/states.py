@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import VerificationError, undecodable_line
+from .errors import VerificationError, line_fault
 from .pauli import (
     DENSE_STATE_LIMIT,
     LINE_LIMIT,
@@ -455,30 +455,25 @@ def read_dense_state(path: str) -> DenseState:
     2^n-th are counted but not parsed.  The state adopts the filled
     buffer instead of copying it.  The file is read as UTF-8 after an
     optional byte-order mark, and a byte that does not decode is an
-    error naming its line.
+    error naming its line.  Each line is judged by ``line_fault`` as it
+    is read, so faults are reported in reading order, from a pipe or a
+    FIFO as from a regular file.
     """
     import numpy as np
 
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         lineno = 0
 
         def next_line(limit: int) -> str | None:
             """The next non-blank line, stripped; None at the end of the file."""
             nonlocal lineno
-            while True:
-                try:
-                    line = fh.readline(limit + 1)
-                except UnicodeDecodeError:
-                    raise ValueError(f"{path}: {undecodable_line(path)}") from None
-                if not line:
-                    return None
+            while line := fh.readline(limit + 1):
                 lineno += 1
-                if len(line) > limit:
-                    raise ValueError(
-                        f"{path}: line {lineno}: longer than {limit} characters"
-                    )
+                if fault := line_fault(line, len(line), limit):
+                    raise ValueError(f"{path}: line {lineno}: {fault}")
                 if text := line.strip():
                     return text
+            return None
 
         header = next_line(LINE_LIMIT)
         if header is None:

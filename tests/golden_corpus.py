@@ -93,6 +93,7 @@ CASES: dict[str, list[str]] = {
     "check_overflow_sigma": _check("overflow_sigma.csv", "--kind", "multi"),
     "check_bom": _check("bom.csv", "--kind", "two"),
     "check_not_utf8": _check("not_utf8.csv", "--kind", "two"),
+    "check_reading_order": _check("reading_order.csv", "--kind", "two"),
     "dense_pi": _dense("pi.txt"),
     "dense_bell": _dense("bell.txt"),
     "dense_bell_multi": _dense("bell.txt", "--kind", "multi"),

@@ -471,6 +471,59 @@ def test_line_without_end_exits_without_traceback(argv, message, kslab_env):
     assert result.stderr.startswith(message)
 
 
+class TestStreamedInput:
+    """A bad byte read from a pipe, or from a FIFO whose writer stays
+    open, exits 1 naming its line without waiting for the writer."""
+
+    CASES = {
+        "check": (["check", "--file", "{}", "--kind", "two"],
+                  b"word,value,sigma\nXX,0.5,0.02\nYY,0.5,0.02\nZZ,-0.5,\xff0.02\n",
+                  "error: line 4: byte 0xff is not UTF-8\n"),
+        "dense": (["violate", "--state", "dense:@{}"],
+                  b"1\n0.5,0 0,0\n0,0 0.5,\xff\n",
+                  "error: {}: line 3: byte 0xff is not UTF-8\n"),
+    }
+
+    @pytest.mark.parametrize("source", ["fifo", "pipe"])
+    @pytest.mark.parametrize("reader", sorted(CASES))
+    def test_bad_byte_is_named_while_the_writer_is_open(
+        self, tmp_path, kslab_env, reader, source
+    ):
+        argv, data, message = self.CASES[reader]
+        if source == "fifo":
+            name = str(tmp_path / "input")
+            os.mkfifo(name)
+            writer = os.open(name, os.O_RDWR)  # opens without a reader, and stays a writer
+            stdin = subprocess.DEVNULL
+        else:
+            name = "/dev/stdin"
+            stdin, writer = os.pipe()
+        try:
+            os.write(writer, data)
+            child = subprocess.Popen(
+                [sys.executable, "-m", "kslab.cli", *(arg.format(name) for arg in argv)],
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=kslab_env,
+            )
+            try:
+                # a reader that waits for the writer fails here instead of hanging
+                out, err = child.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                child.communicate()
+                raise
+        finally:
+            os.close(writer)
+            if source == "pipe":
+                os.close(stdin)
+        assert child.returncode == EXIT_USAGE
+        assert out == ""
+        assert err == message.format(name)
+
+
 class TestVerify:
     def test_identities_suite(self, capsys):
         payload = run_json(capsys, "verify", "--suite", "identities")

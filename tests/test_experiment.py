@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import io
 import math
 import random
@@ -47,17 +48,48 @@ class TestIngestion:
             (b"wo\xffrd,value,sigma\nXX,0.5,0.02\n", "line 1: byte 0xff is not UTF-8"),
             (b"word,value,sigma\r\n" + b"\r\n" * 3000 + b"YY,\xe2,0\r\n",
              "line 3002: byte 0xe2 is not UTF-8"),
-            (b'word,value,sigma\n"Z\nZ",0.5,0\nYY,\xc3,0\n', "line 4: byte 0xc3 is not UTF-8"),
+            (b'word,value,sigma\nZZ,"0.5\n",0\nYY,\xc3,0\n', "line 4: byte 0xc3 is not UTF-8"),
+            (b"word,value,sigma\nQQ,0.5,0\n" + b"\n" * 600 + b"ZZ,\xff,0\n",
+             "line 2: not a Pauli word: 'QQ'"),
         ],
-        ids=["line-4", "header", "deep-crlf", "quoted-newline"],
+        ids=["line-4", "header", "deep-crlf", "quoted-newline", "reading-order"],
     )
     def test_undecodable_byte_is_named_by_line(self, tmp_path, text, message):
-        # the text layer decodes a buffer ahead, so the line comes from a rescan
+        # faults are reported in reading order, whatever the text layer buffers
         path = tmp_path / "correlators.csv"
         path.write_bytes(text)
         with pytest.raises(ValueError) as info:
             ingest_correlators(str(path))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "errors, message",
+        [("strict", "byte 0xff is not UTF-8"),
+         ("surrogateescape", "line 4: byte 0xff is not UTF-8")],
+        ids=["strict", "surrogateescape"],
+    )
+    def test_undecodable_byte_in_a_caller_stream(self, errors, message):
+        # a strict stream fails ahead of the line it is on, so no line is named
+        data = b"word,value,sigma\nXX,0.5,0.02\nYY,0.5,0.02\nZZ,-0.5,\xff0.02\n"
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors, newline="")
+        with pytest.raises(ValueError) as info:
+            ingest_correlators(stream)
+        assert str(info.value) == message
+
+    def test_undecodable_file_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "correlators.csv"
+        path.write_bytes(b"word,value,sigma\nXX,0.5,0.02\nYY,\xff,0\n")
+        opened = []
+
+        def counting(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", counting)
+        with pytest.raises(ValueError, match="line 3: byte 0xff is not UTF-8"):
+            ingest_correlators(str(path))
+        assert opened == [str(path)]
 
     def test_header_is_case_and_space_tolerant(self):
         text = " Word , VALUE , Sigma \nZZ,0.25,0\n"

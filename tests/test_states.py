@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import warnings
 
@@ -620,6 +621,29 @@ class TestDenseReader:
         with pytest.raises(ValueError) as info:
             read_dense_state(str(path))
         assert str(info.value) == f"{path}: line {line}: byte {byte} is not UTF-8"
+
+    def test_faults_are_reported_in_reading_order(self, tmp_path):
+        # the bad row comes first, though the bad byte is in the same decode buffer
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"1\n0.5,x 0,0\n" + b"\n" * 600 + b"0,0 0.5,\xff\n")
+        with pytest.raises(ValueError) as info:
+            read_dense_state(str(path))
+        assert str(info.value) == f"{path}: row 0 entry 0 is not numeric"
+
+    def test_undecodable_file_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"1\n0.5,0 0,0\n0,0 0.5,\xff\n")
+        opened = []
+
+        def counting(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", counting)
+        with pytest.raises(ValueError, match="line 3: byte 0xff is not UTF-8"):
+            read_dense_state(str(path))
+        assert opened == [str(path)]
 
     def test_extra_rows_are_counted(self, tmp_path):
         path = dense_file(tmp_path, ["0.5,0 0,0", "0,0 0.5,0", "junk", "0,0 0,0"])
