@@ -13,8 +13,9 @@ _CLUSTER_GAP rule: neighbouring reals within the gap share a point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .states import (
     GhzSuperposition,
     StateModel,
     expectation,
-    maximally_mixed,
     pi_vector,
     random_density,
     to_density_matrix,
@@ -42,9 +42,14 @@ ATOL_TRACE = 1e-9
 ATOL_DIAGONAL = 1e-8
 ATOL_COMMUTATOR = 1e-10
 ATOL_PULLBACK = 1e-10
+ATOL_HERMITIAN = 1e-10
+# slack on the model weights' sum of 1
+ATOL_WEIGHT_SUM = 1e-12
 
 # eigenvalues closer than this belong to one spectral point
 _CLUSTER_GAP = 1e-6
+# a spectral point this close to an integer is snapped to it
+_INTEGER_SNAP = 1e-9
 
 _BASIS_SEED = 53
 
@@ -55,6 +60,8 @@ def _as_matrix(operator: Operator) -> np.ndarray:
     m = np.array(operator, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operators must be square matrices")
+    if not np.isfinite(m).all():
+        raise ValueError("operator entries must be finite")
     return m
 
 
@@ -83,7 +90,8 @@ def _cluster(values: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     for run in _runs(ordered):
         rep = float(ordered[run].mean())
-        out[order[run]] = float(round(rep)) if abs(rep - round(rep)) < 1e-9 else rep
+        snapped = float(round(rep))
+        out[order[run]] = snapped if abs(rep - snapped) < _INTEGER_SNAP else rep
     return out
 
 
@@ -105,30 +113,16 @@ def _spectral_sum(matrix: np.ndarray, weight: Callable[[float], float]) -> np.nd
     return out
 
 
-def _projector(matrix: np.ndarray, delta: Iterable[float]) -> np.ndarray:
-    delta = list(delta)
-    return _spectral_sum(matrix, lambda x: _near(x, delta))
-
-
-def _g_at(g: Mapping[float, float] | Callable[[float], float], x: float) -> float:
-    if callable(g):
-        return float(g(x))
-    best = min(g, key=lambda key: abs(key - x))
-    if not _near(x, (best,)):
-        raise ValueError(f"function table does not cover spectrum value {x}")
-    return float(g[best])
-
-
-def apply_spectrally(
-    operator: Operator, g: Mapping[float, float] | Callable[[float], float]
-) -> np.ndarray:
-    """g(A) assembled from A's spectral decomposition."""
-    return _hermitize(_spectral_sum(_as_matrix(operator), lambda x: _g_at(g, x)))
+def apply_spectrally(operator: Operator, g: Callable[[float], float]) -> np.ndarray:
+    """g(A) assembled from A's spectral decomposition; g is called once
+    per spectral point and must return a real number."""
+    return _hermitize(_spectral_sum(_as_matrix(operator), lambda x: float(g(x))))
 
 
 def indicator_matrix(operator: Operator, delta: Iterable[float]) -> np.ndarray:
     """The spectral projector onto eigenvalues in delta (an event indicator)."""
-    return _projector(_as_matrix(operator), delta)
+    delta = list(delta)
+    return _spectral_sum(_as_matrix(operator), lambda x: _near(x, delta))
 
 
 @dataclass
@@ -162,12 +156,12 @@ class FiniteHVModel:
         matrix = _as_matrix(operator)
         if matrix.shape != self.rho.shape:
             raise ValueError(f"operator {name!r} has wrong dimension")
-        if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
+        if not np.max(np.abs(matrix - matrix.conj().T)) <= ATOL_HERMITIAN:
             raise ValueError(f"operator {name!r} is not Hermitian")
         in_basis = self.basis.conj().T @ matrix @ self.basis
         off = in_basis - np.diag(np.diag(in_basis))
         residual = float(np.max(np.abs(off)))
-        if residual > ATOL_DIAGONAL:
+        if not residual <= ATOL_DIAGONAL:
             raise VerificationError(
                 f"operator {name!r} is not diagonal in the model basis "
                 f"(residual {residual:.3e}); degeneracy resolution failed"
@@ -175,7 +169,7 @@ class FiniteHVModel:
         values = _cluster(np.real(np.diag(in_basis)))
         quantum = float(np.real(np.trace(self.rho @ matrix)))
         classical = float(self.weights @ values)
-        if abs(quantum - classical) > ATOL_TRACE:
+        if not abs(quantum - classical) <= ATOL_TRACE:
             raise VerificationError(
                 f"operator {name!r}: trace {quantum!r} differs from the "
                 f"weighted value sum {classical!r}"
@@ -188,7 +182,7 @@ class FiniteHVModel:
 
 def _require_commuting(matrices: Sequence[np.ndarray]) -> None:
     for (i, a), (j, b) in itertools.combinations(enumerate(matrices), 2):
-        if np.max(np.abs(a @ b - b @ a)) > ATOL_COMMUTATOR:
+        if not np.max(np.abs(a @ b - b @ a)) <= ATOL_COMMUTATOR:
             raise ValueError(f"family members {i} and {j} do not commute")
 
 
@@ -249,8 +243,9 @@ def build_model(
         blocks = new_blocks
 
     weights = np.maximum(np.real(np.diag(basis.conj().T @ rho @ basis)), 0.0)
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise VerificationError(f"weights sum to {weights.sum()!r}, not 1")
+    total = float(weights.sum())
+    if not abs(total - 1.0) <= ATOL_WEIGHT_SUM:
+        raise VerificationError(f"weights sum to {total!r}, not 1")
 
     model = FiniteHVModel(basis=basis, weights=weights, rho=rho)
     for name, matrix in zip(names, matrices):
@@ -262,7 +257,8 @@ def check_D(model: FiniteHVModel, a: str, delta: Iterable[float]) -> bool:
     """mu(f_A in delta) against the projector trace."""
     delta = list(delta)
     classical = float(model.weights[_near(model.value_table[a], delta)].sum())
-    quantum = float(np.real(np.trace(model.rho @ _projector(model.matrices[a], delta))))
+    projector = indicator_matrix(model.matrices[a], delta)
+    quantum = float(np.real(np.trace(model.rho @ projector)))
     return abs(classical - quantum) <= ATOL_TRACE
 
 
@@ -281,24 +277,21 @@ def check_JD(
         np.real(
             np.trace(
                 model.rho
-                @ _projector(model.matrices[a], delta_a)
-                @ _projector(model.matrices[b], delta_b)
+                @ indicator_matrix(model.matrices[a], delta_a)
+                @ indicator_matrix(model.matrices[b], delta_b)
             )
         )
     )
     return abs(classical - quantum) <= ATOL_TRACE
 
 
-def check_FUNC(
-    model: FiniteHVModel,
-    a: str,
-    g: Mapping[float, float] | Callable[[float], float],
-) -> bool:
-    """f_{g(A)} = g(f_A) on every positive-weight point, with g(A) formed
-    spectrally and registered like any other family member."""
+def check_FUNC(model: FiniteHVModel, a: str, g: Callable[[float], float]) -> bool:
+    """f_{g(A)} = g(f_A) on every positive-weight point, with g (a callable
+    on reals) applied spectrally and g(A) registered like any other
+    family member."""
     g_matrix = apply_spectrally(model.matrices[a], g)
     g_values = model.register(model.fresh_name(f"g({a})"), g_matrix)
-    expected = np.array([_g_at(g, v) for v in model.value_table[a]])
+    expected = np.array([g(v) for v in model.value_table[a]], dtype=float)
     support = model.support
     return bool(np.all(np.abs(g_values[support] - expected[support]) <= ATOL_TRACE))
 
@@ -312,32 +305,21 @@ def check_PROD(model: FiniteHVModel, a: str, b: str) -> bool:
     return bool(np.all(np.abs(values[support] - direct) <= ATOL_TRACE))
 
 
-def _as_mask(subset, size: int) -> np.ndarray:
-    mask = np.asarray(subset)
-    if mask.dtype == bool:
-        if mask.shape != (size,):
-            raise ValueError("mask length does not match the measure space")
-        return mask
-    out = np.zeros(size, dtype=bool)
-    for idx in np.asarray(subset, dtype=int):
-        if not 0 <= idx < size:
-            raise ValueError(f"point {idx} outside the measure space")
-        out[idx] = True
-    return out
-
-
 def check_measure_lemma(weights, s, s_alt, t, t_alt) -> bool:
-    """If s/s_alt and t/t_alt differ only on zero-weight points, their
-    intersections carry exactly equal measure."""
+    """If the boolean masks s/s_alt and t/t_alt differ only on zero-weight
+    points, their intersections carry exactly equal measure.  Both measures
+    are correctly rounded sums (math.fsum), which zero terms cannot change."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and nonnegative")
-    s, s_alt, t, t_alt = (_as_mask(x, len(w)) for x in (s, s_alt, t, t_alt))
+    masks = [np.asarray(x) for x in (s, s_alt, t, t_alt)]
+    if any(m.dtype != bool or m.shape != w.shape for m in masks):
+        raise ValueError("sets must be boolean masks as long as the weights")
+    s, s_alt, t, t_alt = masks
     for left, right in ((s, s_alt), (s_alt, s), (t, t_alt), (t_alt, t)):
-        # nonnegative weights: a zero sum means every term is zero
-        if float(w[~left & right].sum()) != 0.0:
+        if np.any(w[~left & right]):
             raise ValueError("hypothesis failed: the swap sets carry measure")
-    return float(w[s & t].sum()) == float(w[s_alt & t_alt].sum())
+    return math.fsum(w[s & t]) == math.fsum(w[s_alt & t_alt])
 
 
 def random_measure_space(rng: np.random.Generator):
@@ -361,46 +343,33 @@ def random_measure_space(rng: np.random.Generator):
 
 def check_indicator_pullback(
     operator: Operator,
-    g: Mapping[float, float] | Callable[[float], float],
+    g: Callable[[float], float],
     delta: Iterable[float],
-    state: StateModel | None = None,
+    state: StateModel,
 ) -> bool:
-    """Tr[rho chi_delta(g(A))] = Tr[rho chi_{g^{-1}(delta)}(A)]: selecting
-    outcomes of g(A) is the same event as selecting their preimages on A."""
+    """Tr[rho chi_delta(g(A))] = Tr[rho chi_{g^{-1}(delta)}(A)] in the given
+    state, for a callable g: selecting outcomes of g(A) is the same event
+    as selecting their preimages on A."""
     matrix = _as_matrix(operator)
-    n = matrix.shape[0].bit_length() - 1
-    rho = to_density_matrix(state if state is not None else maximally_mixed(n))
+    rho = to_density_matrix(state)
     if rho.shape != matrix.shape:
         raise ValueError("state dimension does not match the operator")
     delta = list(delta)
 
-    direct = float(np.real(np.trace(rho @ _projector(apply_spectrally(matrix, g), delta))))
-    pullback_proj = _spectral_sum(matrix, lambda x: _near(_g_at(g, x), delta))
+    direct_proj = indicator_matrix(apply_spectrally(matrix, g), delta)
+    direct = float(np.real(np.trace(rho @ direct_proj)))
+    pullback_proj = _spectral_sum(matrix, lambda x: _near(g(x), delta))
     pulled = float(np.real(np.trace(rho @ pullback_proj)))
     return abs(direct - pulled) <= ATOL_PULLBACK
 
 
-def spectrum_subsets(
-    spectrum: Sequence[float], rng: np.random.Generator | None = None
-) -> list[tuple[float, ...]]:
-    """Every subset when the spectrum is small; otherwise singletons,
-    complements, and 32 seeded random subsets."""
+def spectrum_subsets(spectrum: Sequence[float]) -> list[tuple[float, ...]]:
+    """Every subset of a spectrum of at most 8 points, by size; a longer
+    spectrum raises ValueError."""
     values = tuple(spectrum)
-    if len(values) <= 8:
-        return [
-            subset
-            for r in range(len(values) + 1)
-            for subset in itertools.combinations(values, r)
-        ]
-    rng = rng or np.random.default_rng(_BASIS_SEED)
-    out: list[tuple[float, ...]] = [()]
-    for v in values:
-        out.append((v,))
-        out.append(tuple(u for u in values if u != v))
-    for _ in range(32):
-        mask = rng.random(len(values)) < 0.5
-        out.append(tuple(v for v, keep in zip(values, mask) if keep))
-    return out
+    if len(values) > 8:
+        raise ValueError(f"spectrum of {len(values)} points; subsets need at most 8")
+    return [s for r in range(len(values) + 1) for s in itertools.combinations(values, r)]
 
 
 def random_commuting_family(
@@ -444,7 +413,7 @@ def run_fine_suite() -> dict:
     models += 1
     note(check_D(model, "+ZI", (1.0,)))
     note(check_JD(model, "+ZI", "+IZ", (1.0,), (-1.0,)))
-    note(check_FUNC(model, "+ZI", {-1.0: 1.0, 1.0: 1.0}))
+    note(check_FUNC(model, "+ZI", lambda x: 1.0))
     note(check_PROD(model, "+ZI", "+IZ"))
 
     ghz = GhzSuperposition(3, 2**-0.5, 2**-0.5)

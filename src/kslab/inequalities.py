@@ -25,9 +25,11 @@ if TYPE_CHECKING:
 
 # Counts as a violation only beyond this band when no uncertainty is given.
 # The band is absolute, while the rounding error of f_value grows with F
-# (a few ulp of F, above the band once F reaches about 2^23).  A probe at
-# n = 100 (2,000 product states within one ulp of the bound) found no
-# verdict that differed from exact Fraction arithmetic.
+# (about 2n ulp of F for a product state, above the band once F reaches
+# about 2^23).  So a float verdict near the bound can differ from exact
+# Fraction arithmetic on the same inputs: the product states of n = 64
+# sites at (0, 0, 0.42961333839196997) and of n = 100 sites at
+# (0, 0, 0.42405019559707174) get the wrong verdict in both directions.
 GUARD_BAND = 1e-9
 
 _SQRT_HALF = 2**-0.5

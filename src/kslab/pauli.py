@@ -38,6 +38,8 @@ from .errors import VerificationError
 # to 2^6 (every identity is also checked symbolically at any n).
 DENSE_STATE_LIMIT = 10
 DENSE_CHECK_LIMIT = 6
+# Largest entry of a dense identity check's residual that counts as zero.
+ATOL_DENSE_RESIDUAL = 1e-12
 # Largest n for which 2^n is a finite double: the ceiling for closed-form
 # F values and classical bounds.
 SITE_LIMIT = 1023
@@ -386,7 +388,7 @@ def verify_sum_identities(n: int) -> IdentityReport:
             residual = _dense_residual(n, x_part, odd, words)
             if report.max_residual is None or residual > report.max_residual:
                 report.max_residual = residual
-            if residual > 1e-12:
+            if not residual <= ATOL_DENSE_RESIDUAL:
                 report.ok = False
                 report.first_mismatch = f"{label}: dense residual {residual:.3e}"
                 return report

@@ -157,9 +157,9 @@ def _check_density(rho: np.ndarray) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(rho).all():
             raise ValueError("density matrix entries must be finite")
-        if _hermitian_defect(rho) > ATOL_SCALAR:
+        if not _hermitian_defect(rho) <= ATOL_SCALAR:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho) - 1) > ATOL_SCALAR:
+        if not abs(np.trace(rho) - 1) <= ATOL_SCALAR:
             raise ValueError("density matrix trace is not 1")
         if not _shifted_factor_is_finite(rho):
             raise ValueError("density matrix is not positive semidefinite")
@@ -359,7 +359,7 @@ def f_value(state: StateModel) -> float:
         diag = np.diag(state.rho).real
         term_sum = float(walsh_hadamard(diag)[half_zmasks(n)].sum())
         direct = (1 << (n - 1)) * float(diag[0] + diag[-1])
-        if abs(term_sum - direct) > ATOL_SCALAR * max(1.0, abs(direct)):
+        if not abs(term_sum - direct) <= ATOL_SCALAR * max(1.0, abs(direct)):
             raise VerificationError(
                 f"term sum {term_sum!r} disagrees with rank-two route {direct!r}"
             )
@@ -396,7 +396,7 @@ def bell_fidelity(state: StateModel) -> float:
         - expectation(state, PauliString.from_text("+ZZ")).real
     ) / 4
     direct = _pi_overlap(state)
-    if abs(corr - direct) > ATOL_SCALAR:
+    if not abs(corr - direct) <= ATOL_SCALAR:
         raise VerificationError(
             f"correlator route {corr!r} disagrees with overlap route {direct!r}"
         )

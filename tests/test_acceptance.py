@@ -166,8 +166,8 @@ def test_08_fine_model_suite(announce):
         state = pools[n][trial % len(pools[n])]
         family = random_commuting_family(rng, n)
         model = build_model(state, family, names=("A", "B"))
-        subsets_a = spectrum_subsets(model.spectra["A"], rng)
-        subsets_b = spectrum_subsets(model.spectra["B"], rng)
+        subsets_a = spectrum_subsets(model.spectra["A"])
+        subsets_b = spectrum_subsets(model.spectra["B"])
         assert all(check_D(model, "A", delta) for delta in subsets_a[:6])
         assert all(check_D(model, "B", delta) for delta in subsets_b[:6])
         for delta_a in subsets_a[:3]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -561,6 +563,72 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "fine")
         assert code == EXIT_VERIFICATION
         assert json.loads(out)["ok"] is False
+
+
+# One doctored route per verification site: the subcommand, the attribute
+# to replace, a function from its original value to the replacement, and
+# whether the route raises (True) or reports ok: false (False).
+_DOCTORED = {
+    "bound-bruteforce": (
+        ["bound", "--n", "4", "--bruteforce"],
+        "kslab.hv_oracle.multipartite_bound", lambda f: lambda n: f(n) + 1, True,
+    ),
+    "violate-dense-multi": (
+        ["violate", "--state", "dense:@{dense}", "--kind", "multi"],
+        "kslab.states.walsh_hadamard", lambda f: lambda d: f(d) + 1, True,
+    ),
+    "violate-werner": (
+        ["violate", "--state", "werner:lambda=0.5"],
+        "kslab.states._pi_overlap", lambda f: lambda state: float("nan"), True,
+    ),
+    "verify-identities-element": (
+        ["verify", "--suite", "identities"],
+        "kslab.pauli._element",
+        lambda f: lambda *a: dataclasses.replace(f(*a), phase_exp=(f(*a).phase_exp + 1) % 4),
+        True,
+    ),
+    "verify-identities-residual": (
+        ["verify", "--suite", "identities"],
+        "kslab.pauli._dense_residual", lambda f: lambda *a: 1.0, False,
+    ),
+    "verify-hvkn": (
+        ["verify", "--suite", "hvkn"],
+        "kslab.hv_oracle._signed_products",
+        lambda f: lambda *a: (f(*a)[0] + 1, f(*a)[1]),
+        False,
+    ),
+    "verify-certificates": (
+        ["verify", "--suite", "certificates"],
+        "kslab.certificates.commutes", lambda f: lambda a, b: False, True,
+    ),
+    "verify-fine-register": (
+        ["verify", "--suite", "fine"], "kslab.fine_model.ATOL_DIAGONAL", lambda v: -1.0, True,
+    ),
+    "verify-fine-pullback": (
+        ["verify", "--suite", "fine"], "kslab.fine_model.ATOL_PULLBACK", lambda v: -1.0, False,
+    ),
+}
+
+
+class TestVerificationFailureExit:
+    @pytest.mark.parametrize("case", sorted(_DOCTORED))
+    def test_doctored_route_exits_two(self, case, capsys, monkeypatch, tmp_path):
+        argv, target, doctor, raises = _DOCTORED[case]
+        dense = tmp_path / "pi.txt"
+        v = pi_vector()
+        write_dense_state(str(dense), DenseState(np.outer(v, v.conj())))
+        module, _, name = target.rpartition(".")
+        original = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(target, doctor(original))
+        code, out, err = run_cli(capsys, *(a.format(dense=dense) for a in argv))
+        assert code == EXIT_VERIFICATION
+        if raises:
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith("verification failure: ")
+        else:
+            assert err == ""
+            assert json.loads(out)["ok"] is False
 
 
 class TestUsage:

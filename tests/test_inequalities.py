@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ class TestMultipartiteReport:
         report = multipartite_report(maximally_mixed(3))
         assert report.lhs == pytest.approx(1.0, abs=1e-12)
         assert not report.violated
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+    @pytest.mark.parametrize(
+        "n,rz", [(64, 0.42961333839196997), (100, 0.42405019559707174)]
+    )
+    def test_verdict_near_the_bound_matches_exact_arithmetic(self, n, rz):
+        # F = ((1 + rz)^n + (1 - rz)^n) / 2, exactly, from the same float rz
+        exact = ((1 + Fraction(rz)) ** n + (1 - Fraction(rz)) ** n) / 2
+        report = multipartite_report(ProductState(((0.0, 0.0, rz),) * n))
+        assert report.violated == (exact - Fraction(multipartite_bound(n)) > GUARD_BAND)
 
 
 class TestScan:

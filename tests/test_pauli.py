@@ -329,6 +329,12 @@ class TestSumIdentities:
         with pytest.raises(ValueError):
             verify_sum_identities(1)
 
+    def test_nan_dense_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(kslab.pauli, "_dense_residual", lambda *args: float("nan"))
+        report = verify_sum_identities(3)
+        assert not report.ok
+        assert report.first_mismatch == "z-even: dense residual nan"
+
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_half_zmasks_match_elements(n):

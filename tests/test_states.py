@@ -242,6 +242,13 @@ class TestFValue:
             via_h = float(np.real(np.trace(state.rho @ h)))
             assert f_value(state) == pytest.approx(via_h, abs=1e-10)
 
+    def test_nan_term_sum_fails_the_cross_check(self, monkeypatch):
+        monkeypatch.setattr(
+            kslab.states, "walsh_hadamard", lambda values: np.full(len(values), np.nan)
+        )
+        with pytest.raises(VerificationError, match="disagrees with rank-two route"):
+            f_value(maximally_mixed(2))
+
 
 class TestHnObservable:
     @pytest.mark.parametrize("n", range(2, 7))
@@ -313,6 +320,11 @@ class TestBellFidelity:
         with pytest.raises(VerificationError, match="disagrees with overlap route"):
             bell_fidelity(WernerState(0.5))
 
+    def test_nan_overlap_fails_the_cross_check(self, monkeypatch):
+        monkeypatch.setattr(kslab.states, "_pi_overlap", lambda state: float("nan"))
+        with pytest.raises(VerificationError, match="disagrees with overlap route nan"):
+            bell_fidelity(WernerState(0.5))
+
     def test_pi_vector_matches_oracle(self):
         np.testing.assert_allclose(pi_vector(), oracle_pi_vector(), atol=1e-15)
 
@@ -344,6 +356,18 @@ class TestValidation:
         rho[0, 1] = 0.5
         with pytest.raises(ValueError, match="not Hermitian"):
             DenseState._adopt(rho)
+
+    def test_nan_hermitian_defect_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(kslab.states, "_hermitian_defect", lambda rho: float("nan"))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DenseState(np.eye(4) / 4)
+
+    def test_trace_that_sums_to_nan_is_not_one(self):
+        # the checks run in order: this matrix is finite and Hermitian,
+        # and its trace overflows to inf - inf
+        rho = np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]).astype(complex)
+        with pytest.raises(ValueError, match="^density matrix trace is not 1$"):
+            DenseState(rho)
 
     def test_product_rejects_long_bloch(self):
         with pytest.raises(ValueError):
