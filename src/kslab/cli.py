@@ -6,9 +6,9 @@ form a stable contract: 0 on success, 2 when a verification check fails,
 
 Building the parser loads no kslab module but ``errors``: each handler
 imports what its route runs, and numpy loads only where arrays do the
-work.  ``scan``, ``check``, ``bound`` without ``--bruteforce``,
-``violate`` on ``ghz:``, ``product:`` and ``werner:`` states and
-``verify --suite certificates`` run without it.
+work.  ``group``, ``scan``, ``check``, ``bound`` without
+``--bruteforce``, ``violate`` on ``ghz:``, ``product:`` and ``werner:``
+states and ``verify --suite certificates`` run without it.
 """
 
 from __future__ import annotations

@@ -34,6 +34,10 @@ from .states import (
 Operator = Union[PauliString, np.ndarray]
 
 DIM_LIMIT = 64
+# Largest magnitude of an operator entry.  The tolerances below are
+# absolute; from entries of about 1e6 on, rounding alone breaks the trace
+# identity and the diagonal check for random operators and states.
+ENTRY_LIMIT = 1e4
 
 # "almost everywhere" on a finite space: every point of positive weight
 SUPPORT_ATOL = 1e-14
@@ -62,6 +66,8 @@ def _as_matrix(operator: Operator) -> np.ndarray:
         raise ValueError("operators must be square matrices")
     if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite")
+    if (np.abs(m) > ENTRY_LIMIT).any():
+        raise ValueError(f"operator entries must not exceed {ENTRY_LIMIT:g} in magnitude")
     return m
 
 

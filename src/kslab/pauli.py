@@ -19,17 +19,18 @@ its z-mask, for a single word (``lambda_element``) and for whole tables
 
 All products and phases are computed in integer arithmetic, by one rule
 (``_product``) that ``pauli_mul`` applies to single words and
-``closure_break`` to a whole element table at once.  Importing this module
-does not import numpy: it enters, by a function-local import, only in the
-routes that build arrays: the dense-matrix oracle ``PauliString.to_matrix``,
-the dense identity check, the vectorized z-mask tables (``half_zmasks``,
-``walsh_hadamard``) and ``closure_break``.
+``closure_break`` to the rows and single-bit columns of an element table.
+Importing this module does not import numpy: it enters, by a
+function-local import, only in the routes that build arrays: the
+dense-matrix oracle ``PauliString.to_matrix``, the dense identity check
+and the vectorized z-mask tables (``half_zmasks``, ``walsh_hadamard``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 import re
 
 from .errors import VerificationError
@@ -43,15 +44,13 @@ ATOL_DENSE_RESIDUAL = 1e-12
 # Largest n for which 2^n is a finite double: the ceiling for closed-form
 # F values and classical bounds.
 SITE_LIMIT = 1023
-# The group table checks closure over all 4^n products.
+# Largest n of a printed group table: 2^n words, whose closure costs
+# n 2^n products.
 GROUP_LIMIT = 12
 # Characters in one record of an input file, line endings included: a
 # correlator CSV record (over every line its quoted fields span) or a
 # dense state's site-count line.
 LINE_LIMIT = 1 << 20
-# Products per block of the vectorized closure check: 2^18 int64 entries
-# are 2 MB per array.
-_CLOSURE_BLOCK = 1 << 18
 
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -156,23 +155,20 @@ class PauliString:
         return out
 
 
-def _product(za, xa, pa, zb, xb, pb, popcount):
+def _product(za, xa, pa, zb, xb, pb):
     """(z, x, phase) of the product of words (za, xa, pa) and (zb, xb, pb).
 
     Moving b's Z factors through a's X factors picks up (-1) per
-    overlapping site; the masks then combine by XOR.  The arguments are
-    ints or int64 arrays, with the matching ``popcount``.
+    overlapping site; the masks then combine by XOR.
     """
-    return za ^ zb, xa ^ xb, (pa + pb + 2 * popcount(xa & zb)) % 4
+    return za ^ zb, xa ^ xb, (pa + pb + 2 * (xa & zb).bit_count()) % 4
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     """Exact product a*b in canonical form."""
     if a.n != b.n:
         raise ValueError(f"site counts differ: {a.n} != {b.n}")
-    z, x, phase = _product(
-        a.z_mask, a.x_mask, a.phase_exp, b.z_mask, b.x_mask, b.phase_exp, int.bit_count
-    )
+    z, x, phase = _product(a.z_mask, a.x_mask, a.phase_exp, b.z_mask, b.x_mask, b.phase_exp)
     return PauliString(a.n, z, x, phase)
 
 
@@ -182,31 +178,31 @@ def closure_break(elements: list[PauliString]) -> tuple[int, int] | None:
     the table closes under that law.
 
     All words must share one site count and the table's length must be a
-    power of two.  The products run as int64 arrays, a block of rows at
-    a time.
-    """
-    import numpy as np
+    power of two.  The table closes exactly when element 0 is the
+    identity and every row closes against the single-bit columns
+    q = 2^b, so a closing table of length 2^k costs k 2^k products; only
+    a table that fails this certificate is scanned row by row.
 
+    Proof: induction on the bits of p makes the masks XOR-linear, so
+    B(p, q) = popcount(x_p & z_q) mod 2 is bilinear.  The phase defect
+    D(p, q) = ph_p + ph_q + 2 B(p, q) - ph_{p^q} (mod 4) then obeys
+    D(p, q ^ 2^b) = D(p, q) + D(p ^ q, 2^b) - D(q, 2^b), and D(p, 0) =
+    ph_0 = 0, so D vanishes for every q by induction on popcount(q).
+    """
     order = len(elements)
     if order < 1 or order & (order - 1):
         raise ValueError(f"table length {order} is not a power of two")
     if len({e.n for e in elements}) != 1:
         raise ValueError("words in the table have different site counts")
-    z, x, ph = (
-        np.array([getattr(e, key) for e in elements], dtype=np.int64)
-        for key in ("z_mask", "x_mask", "phase_exp")
-    )
-    q = np.arange(order, dtype=np.int64)
-    rows = max(1, _CLOSURE_BLOCK // order)
-    for start in range(0, order, rows):
-        p = q[start : start + rows, None]
-        target = p ^ q
-        zc, xc, pc = _product(z[p], x[p], ph[p], z, x, ph, np.bitwise_count)
-        bad = (zc != z[target]) | (xc != x[target]) | (pc != ph[target])
-        if bad.any():
-            row, col = divmod(int(bad.argmax()), order)
-            return start + row, col
-    return None
+    words = [(e.z_mask, e.x_mask, e.phase_exp) for e in elements]
+
+    def breaks(p: int, q: int) -> bool:
+        return _product(*words[p], *words[q]) != words[p ^ q]
+
+    columns = [1 << b for b in range(order.bit_length() - 1)]
+    if words[0] == (0, 0, 0) and not any(breaks(p, q) for p in range(order) for q in columns):
+        return None
+    return next((p, q) for p in range(order) for q in range(order) if breaks(p, q))
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -357,7 +353,9 @@ def verify_sum_identities(n: int) -> IdentityReport:
 
     Both sides are always expanded into exact (mask, phase) multisets;
     when n <= DENSE_CHECK_LIMIT they are also compared as 2^n x 2^n
-    matrices, and ``max_residual`` reports the largest dense residual.
+    matrices, and ``max_residual`` reports the largest finite dense
+    residual; a residual that is not finite fails and is named only in
+    ``first_mismatch``.
     The report's ``mode`` is always ``auto``, the name of that policy.
     """
     if n < 2:
@@ -386,8 +384,8 @@ def verify_sum_identities(n: int) -> IdentityReport:
             return report
         if n <= DENSE_CHECK_LIMIT:
             residual = _dense_residual(n, x_part, odd, words)
-            if report.max_residual is None or residual > report.max_residual:
-                report.max_residual = residual
+            if math.isfinite(residual):
+                report.max_residual = max(residual, report.max_residual or 0.0)
             if not residual <= ATOL_DENSE_RESIDUAL:
                 report.ok = False
                 report.first_mismatch = f"{label}: dense residual {residual:.3e}"

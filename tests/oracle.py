@@ -14,7 +14,7 @@ dense-state parser that the streamed ``read_dense_state`` replaces.
 ``positive_semidefinite_reference`` is the eigenvalue verdict that the
 shifted Cholesky factor of ``DenseState``'s positivity check replaces.
 ``closure_break_reference`` is the scalar double loop over ``pauli_mul``
-that the vectorized ``closure_break`` replaces.  ``bruteforce_reference``
+that the single-bit-column certificate of ``closure_break`` replaces.  ``bruteforce_reference``
 is the code-order block loop that the row-block grid sweep of
 ``bruteforce_report`` replaces.  ``verify_hvkn_reference`` is the
 one-piece identity check, every code in a single array and the sample

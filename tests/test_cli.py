@@ -567,7 +567,8 @@ class TestVerify:
 
 # One doctored route per verification site: the subcommand, the attribute
 # to replace, a function from its original value to the replacement, and
-# whether the route raises (True) or reports ok: false (False).
+# whether the route raises (True) or reports a failure in strict JSON
+# (False): ok: false, or for ``group`` closure: false and its first break.
 _DOCTORED = {
     "bound-bruteforce": (
         ["bound", "--n", "4", "--bruteforce"],
@@ -591,6 +592,20 @@ _DOCTORED = {
         ["verify", "--suite", "identities"],
         "kslab.pauli._dense_residual", lambda f: lambda *a: 1.0, False,
     ),
+    "verify-identities-residual-nan": (
+        ["verify", "--suite", "identities"],
+        "kslab.pauli._dense_residual", lambda f: lambda *a: float("nan"), False,
+    ),
+    "verify-identities-residual-inf": (
+        ["verify", "--suite", "identities"],
+        "kslab.pauli._dense_residual", lambda f: lambda *a: float("inf"), False,
+    ),
+    "group": (
+        ["group", "--n", "3"],
+        "kslab.pauli.lambda_element",
+        lambda f: lambda idx: dataclasses.replace(f(idx), phase_exp=2) if idx.p == 5 else f(idx),
+        False,
+    ),
     "verify-hvkn": (
         ["verify", "--suite", "hvkn"],
         "kslab.hv_oracle._signed_products",
@@ -608,6 +623,10 @@ _DOCTORED = {
         ["verify", "--suite", "fine"], "kslab.fine_model.ATOL_PULLBACK", lambda v: -1.0, False,
     ),
 }
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 class TestVerificationFailureExit:
@@ -628,7 +647,12 @@ class TestVerificationFailureExit:
             assert err.startswith("verification failure: ")
         else:
             assert err == ""
-            assert json.loads(out)["ok"] is False
+            report = json.loads(out, parse_constant=_reject_constant)
+            if argv[0] == "group":
+                assert report["closure"] is False
+                assert "first_break" in report
+            else:
+                assert report["ok"] is False
 
 
 class TestUsage:

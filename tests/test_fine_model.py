@@ -10,6 +10,7 @@ import kslab.fine_model
 from kslab.errors import VerificationError
 from kslab.fine_model import (
     DIM_LIMIT,
+    ENTRY_LIMIT,
     _cluster,
     _near,
     _require_commuting,
@@ -157,6 +158,21 @@ class TestBuildModel:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="^operator entries must be finite$"):
                 build_model(maximally_mixed(1), [np.diag([bad, 1.0])])
+
+    @pytest.mark.parametrize(
+        "huge",
+        [np.diag([1e308, 1e308]), np.array([[0, 1e308], [1e308, 0]])],
+        ids=["diagonal", "off-diagonal"],
+    )
+    def test_rejects_huge_entries(self, huge):
+        # the diagonal one overflowed in _hermitize, the other failed the
+        # absolute diagonal tolerance with a residual of 8e290
+        with pytest.raises(ValueError, match="^operator entries must not exceed 10000 in magnitude$"):
+            build_model(maximally_mixed(1), [huge])
+
+    def test_entries_at_the_limit_are_accepted(self):
+        model = build_model(maximally_mixed(1), [np.diag([ENTRY_LIMIT, -ENTRY_LIMIT])])
+        assert model.spectra["A0"] == (-ENTRY_LIMIT, ENTRY_LIMIT)
 
     def test_nan_commutator_fails_the_check(self):
         nan_matrix = np.full((2, 2), np.nan, dtype=complex)

@@ -131,6 +131,7 @@ NUMPY_FREE = {
     "product-two": ["violate", "--state", "product:+-"],
     "ghz-two": ["violate", "--state", "ghz:n=2,alpha=0.6,beta=0.8"],
     "certificates": ["verify", "--suite", "certificates"],
+    "group": ["group", "--n", "2"],
 }
 
 
@@ -143,7 +144,7 @@ def test_analytic_jobs_do_not_import_numpy(job, kslab_env, csv_files):
 
 @pytest.mark.parametrize(
     "argv",
-    [["group", "--n", "2"], ["bound", "--n", "4", "--bruteforce"]],
+    [["bound", "--n", "4", "--bruteforce"], ["verify", "--suite", "identities"]],
 )
 def test_array_jobs_do_import_numpy(argv, kslab_env):
     # the probe sees numpy when a job does load it
@@ -159,7 +160,7 @@ def test_parser_loads_no_handler_module(kslab_env):
 # (arguments, modules the job must load, modules it must not load)
 FOOTPRINTS = {
     "group": (["group", "--n", "3"], {"kslab.pauli"},
-              {"kslab.experiment", "kslab.inequalities", "kslab.states"}),
+              {"kslab.experiment", "kslab.inequalities", "kslab.states", "numpy"}),
     "bound-bruteforce": (["bound", "--n", "4", "--bruteforce"], {"kslab.hv_oracle"},
                          {"kslab.states", "kslab.fine_model", "kslab.experiment"}),
     "check-multi": (["check", "--file", "{multi}", "--kind", "multi"], {"kslab.experiment"},

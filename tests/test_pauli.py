@@ -7,6 +7,7 @@ bookkeeping with the mask representation under test.
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -209,6 +210,57 @@ def group_table(n: int) -> list[PauliString]:
     return [lambda_element(LambdaIndex(n, p)) for p in range(1 << n)]
 
 
+def generated_table(rng: np.random.Generator, n: int) -> list[PauliString]:
+    """Table whose element p is the product of the generators at the set
+    bits of p: n random Hermitian words that commute, so the table
+    closes.  A draw that fails to commute with an earlier generator is
+    replaced by a copy of one of them."""
+    gens: list[PauliString] = []
+    while len(gens) < n:
+        w = random_word(rng, n)
+        sign = 2 * (w.phase_exp & 1)
+        w = PauliString(n, w.z_mask, w.x_mask, (sign + w.phase_exp - w.sign_exp) % 4)
+        if not all(commutes(w, g) for g in gens):
+            w = gens[int(rng.integers(len(gens)))]
+        gens.append(w)
+    table = [PauliString.identity(n)]
+    for g in gens:
+        table += [pauli_mul(w, g) for w in table]
+    return table
+
+
+def linear_table(rng: np.random.Generator, n: int) -> list[PauliString]:
+    """Table with XOR-linear masks, from n random basis words, and a random
+    phase on every element."""
+    basis = [random_word(rng, n) for _ in range(n)]
+    table = []
+    for p in range(1 << n):
+        z = x = 0
+        for b, w in enumerate(basis):
+            if p >> b & 1:
+                z, x = z ^ w.z_mask, x ^ w.x_mask
+        table.append(PauliString(n, z, x, int(rng.integers(4))))
+    return table
+
+
+def edited_table(rng: np.random.Generator, n: int) -> list[PauliString]:
+    """A generated table with one to three elements changed in one field:
+    a mask bit, the phase, or the whole word."""
+    table = generated_table(rng, n)
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(len(table)))
+        w = table[k]
+        field = int(rng.integers(3))
+        if field == 0:
+            bit = 1 << int(rng.integers(n))
+            table[k] = PauliString(n, w.z_mask ^ bit, w.x_mask, w.phase_exp)
+        elif field == 1:
+            table[k] = PauliString(n, w.z_mask, w.x_mask, (w.phase_exp + 1) % 4)
+        else:
+            table[k] = random_word(rng, n)
+    return table
+
+
 class TestClosureKernel:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_group_tables_close(self, n):
@@ -228,23 +280,48 @@ class TestClosureKernel:
     @pytest.mark.parametrize("field", ["mask", "phase"])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_doctored_tables_break_where_the_oracle_does(self, n, field):
-        for k in sorted({0, 1, (1 << n) // 2, (1 << n) - 1}):
+        # the interior index is 45 at n = 6, whose first break is in row 1
+        interior = (45 << n) // 64
+        for k in sorted({0, 1, interior, (1 << n) // 2, (1 << n) - 1}):
             table = self.doctored(n, k, field)
             found = closure_break(table)
             assert found is not None
             assert found == closure_break_reference(table)
 
-    @pytest.mark.parametrize("field", ["mask", "phase"])
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_small_row_blocks(self, monkeypatch, rows, field):
-        # one row per block puts the first break (row 1) in the second
-        # block; three rows per block leave a one-row block at the end
-        monkeypatch.setattr(kslab.pauli, "_CLOSURE_BLOCK", rows * 64)
-        assert closure_break(group_table(6)) is None
-        table = self.doctored(6, 45, field)
-        expected = closure_break_reference(table)
-        assert expected[0] >= 1
-        assert closure_break(table) == expected
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_battery_matches_the_oracle(self, n):
+        rng = np.random.default_rng(n)
+        makers = [generated_table, linear_table, edited_table]
+        makers += [lambda rng, n: [random_word(rng, n) for _ in range(1 << n)]]
+        closing = 0
+        for _ in range(100):
+            for make in makers:
+                table = make(rng, n)
+                found = closure_break(table)
+                assert found == closure_break_reference(table)
+                closing += found is None
+        assert closing >= 100
+
+    def test_one_element_table_closes_only_on_the_identity(self):
+        # a table of length 1 has no single-bit column to certify
+        for z, x, phase in itertools.product(range(4), range(4), range(4)):
+            table = [PauliString(2, z, x, phase)]
+            found = closure_break(table)
+            assert found == closure_break_reference(table)
+            assert (found is None) == (table[0] == PauliString.identity(2))
+
+    def test_closing_table_costs_one_product_per_row_and_bit(self, monkeypatch):
+        calls = 0
+        product = kslab.pauli._product
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return product(*args)
+
+        monkeypatch.setattr(kslab.pauli, "_product", counted)
+        assert closure_break(group_table(12)) is None
+        assert calls == 12 << 12
 
     def test_rejects_ragged_tables(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -334,6 +411,16 @@ class TestSumIdentities:
         report = verify_sum_identities(3)
         assert not report.ok
         assert report.first_mismatch == "z-even: dense residual nan"
+        assert report.max_residual is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_max_residual_keeps_the_largest_finite_one(self, monkeypatch, bad):
+        residuals = iter([2e-13, 5e-13, bad])
+        monkeypatch.setattr(kslab.pauli, "_dense_residual", lambda *args: next(residuals))
+        report = verify_sum_identities(3)
+        assert not report.ok
+        assert report.first_mismatch == f"x-even: dense residual {bad}"
+        assert report.max_residual == 5e-13
 
 
 @pytest.mark.parametrize("n", range(2, 13))
