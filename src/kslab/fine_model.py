@@ -34,9 +34,11 @@ from .states import (
 Operator = Union[PauliString, np.ndarray]
 
 DIM_LIMIT = 64
-# Largest magnitude of an operator entry.  The tolerances below are
-# absolute; from entries of about 1e6 on, rounding alone breaks the trace
-# identity and the diagonal check for random operators and states.
+# Largest magnitude of an operator entry.  It keeps _hermitize's m + m^H
+# finite, and keeps the trace identity and the diagonal check clear of
+# rounding, which breaks them for random operators and states from entries
+# of about 1e6 on.  The commutator tolerance is absolute too: a commuting
+# family can still be called non-commuting from entries of about 1e3 on.
 ENTRY_LIMIT = 1e4
 
 # "almost everywhere" on a finite space: every point of positive weight

@@ -19,7 +19,7 @@ its z-mask, for a single word (``lambda_element``) and for whole tables
 
 All products and phases are computed in integer arithmetic, by one rule
 (``_product``) that ``pauli_mul`` applies to single words and
-``closure_break`` to the rows and single-bit columns of an element table.
+``closure_break`` to the single-bit rows of an element table.
 Importing this module does not import numpy: it enters, by a
 function-local import, only in the routes that build arrays: the
 dense-matrix oracle ``PauliString.to_matrix``, the dense identity check
@@ -178,16 +178,16 @@ def closure_break(elements: list[PauliString]) -> tuple[int, int] | None:
     the table closes under that law.
 
     All words must share one site count and the table's length must be a
-    power of two.  The table closes exactly when element 0 is the
-    identity and every row closes against the single-bit columns
-    q = 2^b, so a closing table of length 2^k costs k 2^k products; only
-    a table that fails this certificate is scanned row by row.
+    power of two.  Only the single-bit rows p = 2^b are scanned, so a
+    table of length 2^k costs at most k 2^k products.
 
-    Proof: induction on the bits of p makes the masks XOR-linear, so
-    B(p, q) = popcount(x_p & z_q) mod 2 is bilinear.  The phase defect
-    D(p, q) = ph_p + ph_q + 2 B(p, q) - ph_{p^q} (mod 4) then obeys
-    D(p, q ^ 2^b) = D(p, q) + D(p ^ q, 2^b) - D(q, 2^b), and D(p, 0) =
-    ph_0 = 0, so D vanishes for every q by induction on popcount(q).
+    Proof: the rows that close against every column form an XOR
+    subgroup, since the product is associative: when rows p and p' close,
+    elements[p ^ p'] * elements[q] = elements[p] * elements[p' ^ q] =
+    elements[p ^ p' ^ q].  Row 0 closes exactly when element 0 is the
+    identity.  Any other row that is not a power of two is the XOR of its
+    top bit and its lower bits, two smaller rows, so the first row that
+    breaks is 0 or a power of two.
     """
     order = len(elements)
     if order < 1 or order & (order - 1):
@@ -195,14 +195,13 @@ def closure_break(elements: list[PauliString]) -> tuple[int, int] | None:
     if len({e.n for e in elements}) != 1:
         raise ValueError("words in the table have different site counts")
     words = [(e.z_mask, e.x_mask, e.phase_exp) for e in elements]
-
-    def breaks(p: int, q: int) -> bool:
-        return _product(*words[p], *words[q]) != words[p ^ q]
-
-    columns = [1 << b for b in range(order.bit_length() - 1)]
-    if words[0] == (0, 0, 0) and not any(breaks(p, q) for p in range(order) for q in columns):
-        return None
-    return next((p, q) for p in range(order) for q in range(order) if breaks(p, q))
+    if words[0] != (0, 0, 0):
+        return 0, 0
+    rows = [1 << b for b in range(order.bit_length() - 1)]
+    return next(
+        ((p, q) for p in rows for q in range(order) if _product(*words[p], *words[q]) != words[p ^ q]),
+        None,
+    )
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:

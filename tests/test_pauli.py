@@ -303,25 +303,40 @@ class TestClosureKernel:
         assert closing >= 100
 
     def test_one_element_table_closes_only_on_the_identity(self):
-        # a table of length 1 has no single-bit column to certify
+        # a table of length 1 has no single-bit row; only element 0 decides
         for z, x, phase in itertools.product(range(4), range(4), range(4)):
             table = [PauliString(2, z, x, phase)]
             found = closure_break(table)
             assert found == closure_break_reference(table)
             assert (found is None) == (table[0] == PauliString.identity(2))
 
-    def test_closing_table_costs_one_product_per_row_and_bit(self, monkeypatch):
-        calls = 0
+    def count_products(self, monkeypatch) -> list[int]:
+        calls = [0]
         product = kslab.pauli._product
 
         def counted(*args):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return product(*args)
 
         monkeypatch.setattr(kslab.pauli, "_product", counted)
+        return calls
+
+    def test_closing_table_costs_n_products_per_element(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
         assert closure_break(group_table(12)) is None
-        assert calls == 12 << 12
+        assert calls[0] == 12 << 12
+
+    def test_late_break_costs_no_more_than_a_closing_table(self, monkeypatch):
+        # the upper half times i first breaks at (2^11, 2^11), past half
+        # of a row-major scan of all 4^12 pairs
+        table = group_table(12)
+        half = len(table) // 2
+        for k in range(half, len(table)):
+            w = table[k]
+            table[k] = PauliString(12, w.z_mask, w.x_mask, (w.phase_exp + 1) % 4)
+        calls = self.count_products(monkeypatch)
+        assert closure_break(table) == (half, half)
+        assert calls[0] <= 12 << 12
 
     def test_rejects_ragged_tables(self):
         with pytest.raises(ValueError, match="power of two"):
