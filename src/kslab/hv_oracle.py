@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import VerificationError
-from .inequalities import multipartite_bound
 from .pauli import half_zmasks, walsh_hadamard
 
 # 2^28 assignments; the grid sweep with its cross-check takes under a
@@ -213,6 +212,8 @@ def bruteforce_report(n: int) -> BoundReport:
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration needs 2 <= n <= {ENUMERATION_CAP}, got {n}")
+    from .inequalities import multipartite_bound
+
     started = time.perf_counter()
     low_sites = n // 2
     high_sites = n - low_sites

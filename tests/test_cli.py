@@ -572,7 +572,7 @@ class TestVerify:
 _DOCTORED = {
     "bound-bruteforce": (
         ["bound", "--n", "4", "--bruteforce"],
-        "kslab.hv_oracle.multipartite_bound", lambda f: lambda n: f(n) + 1, True,
+        "kslab.inequalities.multipartite_bound", lambda f: lambda n: f(n) + 1, True,
     ),
     "violate-dense-multi": (
         ["violate", "--state", "dense:@{dense}", "--kind", "multi"],

@@ -171,6 +171,9 @@ FOOTPRINTS = {
                    "kslab.states", "numpy"}),
     "certificates": (["verify", "--suite", "certificates"], {"kslab.certificates"},
                      {"kslab.hv_oracle", "numpy"}),
+    "verify-hvkn": (["verify", "--suite", "hvkn"], {"kslab.hv_oracle"},
+                    {"kslab.inequalities", "kslab.states", "kslab.fine_model",
+                     "kslab.experiment"}),
 }
 
 
