@@ -7,7 +7,10 @@ directory that holds the committed files of ``tests/golden/inputs/``
 and the large inputs built by ``GENERATED``, so that argv can name them
 by bare file name.  An argv that starts with ``python -m kslab.cli``
 runs as a child process of the current interpreter instead, to pin the
-module entry point.  ``elapsed`` is masked in stdout.
+module entry point.  ``elapsed`` is masked in stdout.  An invocation
+named in ``DOCTORED`` runs with one of the ``DOCTORS`` patches applied,
+recorded in the file's ``doctor`` field, so that it pins a route's
+verification failure (exit 2).
 
 Regenerate every file with::
 
@@ -20,6 +23,8 @@ contract, not a fix.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import importlib
 import io
 import json
 import os
@@ -29,6 +34,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
+from unittest import mock
 
 import kslab
 from kslab.cli import main
@@ -42,6 +49,89 @@ GENERATED = {
     "oversized_field.csv": 'word,value,sigma\nXX,0.5,0\n"' + "Z" * 200_000 + '",0.5,0\n',
     "oversized_header.csv": '"' + "w" * 200_000 + '",value,sigma\nZZ,0.25,0\n',
 }
+
+
+def _raise_real_parts(kernel: Callable, entries) -> Callable:
+    """``kernel`` with 1 added to the real part at each (sites, code) of
+    ``entries``."""
+
+    def doctored(k, codes):
+        re, im = kernel(k, codes)
+        for sites, code in entries:
+            if sites == k:
+                re[codes == code] += 1
+        return re, im
+
+    return doctored
+
+
+def _raise_word_sum(spectrum: Callable, n: int, mask: int) -> Callable:
+    """``spectrum`` with the even family's word sum at ``mask`` raised by 2
+    at n sites."""
+
+    def doctored(k, odd):
+        table = spectrum(k, odd)
+        if (k, odd) != (n, False):
+            return table
+        table = table.copy()
+        table[mask] += 2
+        return table
+
+    return doctored
+
+
+# Patches that each make one route fail its verification, by name: the
+# dotted target and a function from its original value to the doctored
+# one.  The CLI tests drive every one of them to exit 2.
+DOCTORS: dict[str, tuple[str, Callable]] = {
+    "bound-bruteforce": (
+        "kslab.inequalities.multipartite_bound", lambda f: lambda n: f(n) + 1,
+    ),
+    # the two half codes of n = 13 whose mismatches fall in different rows
+    "bound-bruteforce-kernel": (
+        "kslab.hv_oracle._signed_products",
+        lambda f: _raise_real_parts(f, ((6, 1 << 6), (7, 16))),
+    ),
+    "bound-bruteforce-spectrum": (
+        "kslab.hv_oracle._spectrum", lambda f: _raise_word_sum(f, 4, 0b0101),
+    ),
+    "violate-dense-multi": ("kslab.states.walsh_hadamard", lambda f: lambda d: f(d) + 1),
+    "violate-werner": ("kslab.states._pi_overlap", lambda f: lambda state: float("nan")),
+    "verify-identities-element": (
+        "kslab.pauli._element",
+        lambda f: lambda *a: dataclasses.replace(f(*a), phase_exp=(f(*a).phase_exp + 1) % 4),
+    ),
+    "verify-identities-residual": ("kslab.pauli._dense_residual", lambda f: lambda *a: 1.0),
+    "verify-identities-residual-nan": (
+        "kslab.pauli._dense_residual", lambda f: lambda *a: float("nan"),
+    ),
+    "verify-identities-residual-inf": (
+        "kslab.pauli._dense_residual", lambda f: lambda *a: float("inf"),
+    ),
+    "group": (
+        "kslab.pauli.lambda_element",
+        lambda f: lambda idx: dataclasses.replace(f(idx), phase_exp=2) if idx.p == 5 else f(idx),
+    ),
+    "verify-hvkn": (
+        "kslab.hv_oracle._signed_products", lambda f: lambda *a: (f(*a)[0] + 1, f(*a)[1]),
+    ),
+    "verify-certificates": ("kslab.certificates.commutes", lambda f: lambda a, b: False),
+    "verify-fine-register": ("kslab.fine_model.ATOL_DIAGONAL", lambda v: -1.0),
+    "verify-fine-pullback": ("kslab.fine_model.ATOL_PULLBACK", lambda v: -1.0),
+}
+
+
+@contextlib.contextmanager
+def doctored(doctor: str | None):
+    """Apply the ``DOCTORS`` patch named ``doctor`` (none when None) for
+    the duration of the block."""
+    if doctor is None:
+        yield
+        return
+    target, spoil = DOCTORS[doctor]
+    module, _, name = target.rpartition(".")
+    with mock.patch(target, spoil(getattr(importlib.import_module(module), name))):
+        yield
 
 
 def _check(name: str, *argv: str) -> list[str]:
@@ -142,6 +232,36 @@ CASES: dict[str, list[str]] = {
     "scan_csv": ["scan", "--from", "2", "--to", "6"],
     "scan_json": ["scan", "--from", "2", "--to", "6", "--format", "json"],
     "module_violate_werner": [*MODULE, "violate", "--state", "werner:lambda=0.7"],
+    "doctored_bound_formula": ["bound", "--n", "4", "--bruteforce"],
+    "doctored_bound_kernel": ["bound", "--n", "13", "--bruteforce"],
+    "doctored_bound_spectrum": ["bound", "--n", "4", "--bruteforce"],
+    "doctored_violate_werner": _violate("werner:lambda=0.5"),
+    "doctored_group": ["group", "--n", "3"],
+    "doctored_identities_element": ["verify", "--suite", "identities"],
+    "doctored_identities_residual": ["verify", "--suite", "identities"],
+    "doctored_identities_residual_nan": ["verify", "--suite", "identities"],
+    "doctored_identities_residual_inf": ["verify", "--suite", "identities"],
+    "doctored_hvkn": ["verify", "--suite", "hvkn"],
+    "doctored_certificates": ["verify", "--suite", "certificates"],
+    "doctored_fine_pullback": ["verify", "--suite", "fine"],
+}
+
+# Invocations that run under a patch, by case: the ``DOCTORS`` name.  Every
+# route of ``DOCTORS`` is here but two whose report carries a rounding
+# residual: the dense term sums and the fine suite's diagonal check.
+DOCTORED = {
+    "doctored_bound_formula": "bound-bruteforce",
+    "doctored_bound_kernel": "bound-bruteforce-kernel",
+    "doctored_bound_spectrum": "bound-bruteforce-spectrum",
+    "doctored_violate_werner": "violate-werner",
+    "doctored_group": "group",
+    "doctored_identities_element": "verify-identities-element",
+    "doctored_identities_residual": "verify-identities-residual",
+    "doctored_identities_residual_nan": "verify-identities-residual-nan",
+    "doctored_identities_residual_inf": "verify-identities-residual-inf",
+    "doctored_hvkn": "verify-hvkn",
+    "doctored_certificates": "verify-certificates",
+    "doctored_fine_pullback": "verify-fine-pullback",
 }
 
 
@@ -169,24 +289,28 @@ def _run_module(argv: list[str]) -> tuple[int, str, str]:
     return child.returncode, child.stdout, child.stderr
 
 
-def run(argv: list[str]) -> dict:
-    """Run one invocation in the current directory and record it."""
+def run(argv: list[str], doctor: str | None = None) -> dict:
+    """Run one invocation in the current directory, under the named
+    ``DOCTORS`` patch if any, and record it."""
     if argv[: len(MODULE)] == MODULE:
         code, stdout, stderr = _run_module(argv[len(MODULE) :])
     else:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with doctored(doctor), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         stdout, stderr = out.getvalue(), err.getvalue()
-    return {
+    record = {
         "argv": argv,
         "exit": code,
         "stdout": re.sub(r'("elapsed": )[^,\n]+', r'\1"*"', stdout),
         "stderr": stderr.partition("\n")[0],
     }
+    if doctor is not None:
+        record["doctor"] = doctor
+    return record
 
 
 def regenerate() -> None:
@@ -198,7 +322,7 @@ def regenerate() -> None:
         os.chdir(scratch)
         try:
             for name, argv in CASES.items():
-                record = json.dumps(run(argv), indent=2, ensure_ascii=False)
+                record = json.dumps(run(argv, DOCTORED.get(name)), indent=2, ensure_ascii=False)
                 (GOLDEN / f"{name}.json").write_text(record + "\n", encoding="utf-8")
         finally:
             os.chdir(home)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
 import json
 import os
 import subprocess
@@ -11,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from golden_corpus import doctored
 from oracle import oracle_matrix, scan_from_csv
 
 import kslab.experiment
@@ -569,59 +568,21 @@ class TestVerify:
 # to replace, a function from its original value to the replacement, and
 # whether the route raises (True) or reports a failure in strict JSON
 # (False): ok: false, or for ``group`` closure: false and its first break.
+# Doctored routes, by ``DOCTORS`` name (``tests/golden_corpus.py``): argv,
+# and whether the route raises (otherwise it reports a failure).
 _DOCTORED = {
-    "bound-bruteforce": (
-        ["bound", "--n", "4", "--bruteforce"],
-        "kslab.inequalities.multipartite_bound", lambda f: lambda n: f(n) + 1, True,
-    ),
-    "violate-dense-multi": (
-        ["violate", "--state", "dense:@{dense}", "--kind", "multi"],
-        "kslab.states.walsh_hadamard", lambda f: lambda d: f(d) + 1, True,
-    ),
-    "violate-werner": (
-        ["violate", "--state", "werner:lambda=0.5"],
-        "kslab.states._pi_overlap", lambda f: lambda state: float("nan"), True,
-    ),
-    "verify-identities-element": (
-        ["verify", "--suite", "identities"],
-        "kslab.pauli._element",
-        lambda f: lambda *a: dataclasses.replace(f(*a), phase_exp=(f(*a).phase_exp + 1) % 4),
-        True,
-    ),
-    "verify-identities-residual": (
-        ["verify", "--suite", "identities"],
-        "kslab.pauli._dense_residual", lambda f: lambda *a: 1.0, False,
-    ),
-    "verify-identities-residual-nan": (
-        ["verify", "--suite", "identities"],
-        "kslab.pauli._dense_residual", lambda f: lambda *a: float("nan"), False,
-    ),
-    "verify-identities-residual-inf": (
-        ["verify", "--suite", "identities"],
-        "kslab.pauli._dense_residual", lambda f: lambda *a: float("inf"), False,
-    ),
-    "group": (
-        ["group", "--n", "3"],
-        "kslab.pauli.lambda_element",
-        lambda f: lambda idx: dataclasses.replace(f(idx), phase_exp=2) if idx.p == 5 else f(idx),
-        False,
-    ),
-    "verify-hvkn": (
-        ["verify", "--suite", "hvkn"],
-        "kslab.hv_oracle._signed_products",
-        lambda f: lambda *a: (f(*a)[0] + 1, f(*a)[1]),
-        False,
-    ),
-    "verify-certificates": (
-        ["verify", "--suite", "certificates"],
-        "kslab.certificates.commutes", lambda f: lambda a, b: False, True,
-    ),
-    "verify-fine-register": (
-        ["verify", "--suite", "fine"], "kslab.fine_model.ATOL_DIAGONAL", lambda v: -1.0, True,
-    ),
-    "verify-fine-pullback": (
-        ["verify", "--suite", "fine"], "kslab.fine_model.ATOL_PULLBACK", lambda v: -1.0, False,
-    ),
+    "bound-bruteforce": (["bound", "--n", "4", "--bruteforce"], True),
+    "violate-dense-multi": (["violate", "--state", "dense:@{dense}", "--kind", "multi"], True),
+    "violate-werner": (["violate", "--state", "werner:lambda=0.5"], True),
+    "verify-identities-element": (["verify", "--suite", "identities"], True),
+    "verify-identities-residual": (["verify", "--suite", "identities"], False),
+    "verify-identities-residual-nan": (["verify", "--suite", "identities"], False),
+    "verify-identities-residual-inf": (["verify", "--suite", "identities"], False),
+    "group": (["group", "--n", "3"], False),
+    "verify-hvkn": (["verify", "--suite", "hvkn"], False),
+    "verify-certificates": (["verify", "--suite", "certificates"], True),
+    "verify-fine-register": (["verify", "--suite", "fine"], True),
+    "verify-fine-pullback": (["verify", "--suite", "fine"], False),
 }
 
 
@@ -631,15 +592,13 @@ def _reject_constant(name: str):
 
 class TestVerificationFailureExit:
     @pytest.mark.parametrize("case", sorted(_DOCTORED))
-    def test_doctored_route_exits_two(self, case, capsys, monkeypatch, tmp_path):
-        argv, target, doctor, raises = _DOCTORED[case]
+    def test_doctored_route_exits_two(self, case, capsys, tmp_path):
+        argv, raises = _DOCTORED[case]
         dense = tmp_path / "pi.txt"
         v = pi_vector()
         write_dense_state(str(dense), DenseState(np.outer(v, v.conj())))
-        module, _, name = target.rpartition(".")
-        original = getattr(importlib.import_module(module), name)
-        monkeypatch.setattr(target, doctor(original))
-        code, out, err = run_cli(capsys, *(a.format(dense=dense) for a in argv))
+        with doctored(case):
+            code, out, err = run_cli(capsys, *(a.format(dense=dense) for a in argv))
         assert code == EXIT_VERIFICATION
         if raises:
             assert out == ""

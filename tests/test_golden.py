@@ -3,7 +3,7 @@
 Each golden JSON value must appear unchanged in the report; keys the
 golden file lacks are allowed, so new report keys are additive.
 Non-JSON stdout, the exit code and the first stderr line compare
-exactly.
+exactly.  A file with a ``doctor`` field runs under that patch.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def test_corpus_matches_the_cases():
 def test_invocation_matches_golden(path, inputs, monkeypatch):
     golden = json.loads(path.read_text(encoding="utf-8"))
     monkeypatch.chdir(inputs)
-    actual = run(golden["argv"])
+    actual = run(golden["argv"], golden.get("doctor"))
     assert actual["exit"] == golden["exit"]
     assert actual["stderr"] == golden["stderr"]
     stdout, expected = _parsed(actual["stdout"]), _parsed(golden["stdout"])
