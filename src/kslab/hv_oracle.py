@@ -4,14 +4,14 @@ An assignment gives each site a pair of signs (vx_j, vy_j), the
 pre-assigned outcomes of the two transverse single-site measurements.
 Compound-word values are always derived by the product rule, carrying
 each word's intrinsic sign.  This module recovers the classical bound by
-evaluating every assignment (a grid of high-half by low-half site
-codes, swept a block of rows at a time as outer products of half-site
-products), and verifies the assignment identity behind the bound in exact
-integer arithmetic, a fixed-size block of codes at a time: all 4^n codes
-when they fit the budget, otherwise a sample read from
-``random.Random(104729)`` as the low 2n bits of each little-endian 64-bit
-word, so memory stays flat in the budget.  Both take their site products
-from one kernel, ``_signed_products``.
+deciding every assignment in exact integer arithmetic from the site
+products of half codes, evaluating g once per word mask and once per
+half code, and verifies the assignment identity behind the bound, a
+fixed-size block of codes at a time: all 4^n codes when they fit the
+budget, otherwise a sample read from ``random.Random(104729)`` as the
+low 2n bits of each little-endian 64-bit word, so memory stays flat in
+the budget.  Both take their site products from one kernel,
+``_signed_products``.
 
 The signed word sums over a family half, sum_q s_q (-1)^popcount(m & z_q),
 are read from that half's Walsh-Hadamard spectrum: one O(n 2^n)
@@ -31,22 +31,14 @@ import numpy as np
 from .errors import VerificationError
 from .pauli import half_zmasks, walsh_hadamard
 
-# 2^28 assignments; the grid sweep with its cross-check takes under a
-# second on one core.
+# 2^28 assignments, decided from 2^14 word masks and 2 * 4^7 half codes.
+# The cap is part of the CLI: it sets which ``bound --bruteforce`` runs
+# are accepted.
 ENUMERATION_CAP = 14
 
 # Largest n of the identity check and of ``halfgroup_sums``: each family
 # spectrum holds 2^n int64 word sums, 8 MB at n = 20.
 HVKN_LIMIT = 20
-
-# Integer type of the sweep kernel.  It holds the half tables and g, all
-# within 2^(n/2) in magnitude, and the even spectrum's word sums, within
-# 2^(n-1) (one per word of the half group), so 2^(ENUMERATION_CAP-1) must fit.
-SWEEP_DTYPE = np.int32
-
-# Assignments per block of the bound sweep (whole grid rows, at least
-# one); memory stays flat in n.
-_BLOCK = 1 << 16
 
 # Codes per block of the identity check; its dozen int64 temporaries take
 # 32 KB each, so memory stays flat in the sample budget.
@@ -181,69 +173,67 @@ def _place(n: int, k: int, shift: int, codes: np.ndarray) -> np.ndarray:
     return ((codes & ((1 << k) - 1)) << shift) | ((codes >> k) << (n + shift))
 
 
-def _mask_major_codes(k: int) -> np.ndarray:
-    """The 4^k codes of k sites ordered by word mask vx ^ vy, then by vy:
-    entry (m << k) | vy holds the code with vx = m ^ vy."""
-    entries = np.arange(1 << (2 * k), dtype=np.int64)
-    vy = entries & ((1 << k) - 1)
-    return ((entries >> k) ^ vy) | (vy << k)
-
-
 def bruteforce_report(n: int) -> BoundReport:
     """Evaluate g_value on all 4^n encoded assignments, check each value
     against its product-rule word sum, and read the extrema from the
-    checked word sums, sweeping a grid of half-site codes on one process.
+    checked word sums, on one process.
 
     With the sites split into a low and a high half, g = aL*aH - bL*bH,
     where (a, b) are the ``_signed_products`` of a half's codes (meet in
-    the middle).  Rows of the grid are the 4^ceil(n/2) high-half codes in
-    code order, columns the 4^floor(n/2) low-half codes grouped by word
-    mask, and a block of whole rows is two outer products of the halves'
-    (a, b).  Every entry is compared with the even spectrum at its word
-    mask (high-half mask, low-half mask); in a row those sums come in runs
-    of 2^floor(n/2) equal entries, one per low-half mask.  A mismatch
-    names the smallest mismatching code.
+    the middle), and the word sum at a code is the even spectrum at its
+    word mask (high-half mask, low-half mask).  Code m < 2^n (vx = m, vy
+    all +1) is the smallest code with word mask m.  Its half codes, high
+    m >> floor(n/2) and low m mod 2^floor(n/2), are likewise the smallest
+    of their masks, so two outer products of the halves' first 2^k
+    entries give g at every such m, compared with the spectrum entry by
+    entry.
+
+    That compare decides most other codes too.  A half code whose (a, b)
+    equal those of its mask's smallest code changes no g and no word
+    mask when it stands in for that code.  So a code built from two such
+    half codes has the g and the word sum of the code m of its mask, and
+    m is no larger.  Every other half code (none, when the kernel is
+    right) has its whole row or column of codes compared with the
+    spectrum directly, unless a mismatching code below it is already
+    known.  The mismatches are kept as a running minimum, which names
+    the smallest mismatching code.
 
     Once every code has matched, g takes exactly the spectrum's values,
     since every word mask m is hit.  The smallest code with mask m is m
-    itself (vx = m, vy all +1), so the witness, the smallest code
-    attaining the maximum, is the spectrum's first argmax.  ``elapsed``
-    covers the sweep and its check.
+    itself, so the witness, the smallest code attaining the maximum, is
+    the spectrum's first argmax.  ``elapsed`` covers the sweep and its
+    check.
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration needs 2 <= n <= {ENUMERATION_CAP}, got {n}")
     from .inequalities import multipartite_bound
 
     started = time.perf_counter()
+    spectrum = _spectrum(n, False)
     low_sites = n // 2
     high_sites = n - low_sites
-    low = _mask_major_codes(low_sites)
-    high = np.arange(1 << (2 * high_sites), dtype=np.int64)
-    a_low, b_low = (t.astype(SWEEP_DTYPE) for t in _signed_products(low_sites, low))
-    a_high, b_high = (t.astype(SWEEP_DTYPE) for t in _signed_products(high_sites, high))
-    code_low = _place(n, low_sites, 0, low)
-    code_high = _place(n, high_sites, low_sites, high)
-    spectrum = _spectrum(n, False)
-    expected = spectrum.astype(SWEEP_DTYPE).reshape(1 << high_sites, 1 << low_sites, 1)
-    mask_high = _word_masks(high_sites, high)
-
-    rows, cols = a_high.shape[0], a_low.shape[0]
-    step = min(max(1, _BLOCK // cols), rows)
-    g_buf = np.empty((step, cols), dtype=SWEEP_DTYPE)
-    tmp_buf = np.empty_like(g_buf)
+    halves = []
+    for k, shift in ((low_sites, 0), (high_sites, low_sites)):
+        codes = np.arange(1 << (2 * k), dtype=np.int64)
+        a, b = _signed_products(k, codes)
+        masks = _word_masks(k, codes)
+        unlike = np.flatnonzero((a != a[masks]) | (b != b[masks]))
+        halves.append((a, b, _place(n, k, shift, codes), unlike))
+    (a_low, b_low, _, _), (a_high, b_high, _, _) = halves
+    g = np.multiply.outer(a_high[: 1 << high_sites], a_low[: 1 << low_sites])
+    g -= np.multiply.outer(b_high[: 1 << high_sites], b_low[: 1 << low_sites])
+    differ = np.flatnonzero(g.ravel() != spectrum)
     total = bad_code = 1 << (2 * n)
-    for begin in range(0, rows, step):
-        end = min(begin + step, rows)
-        g = g_buf[: end - begin]
-        tmp = tmp_buf[: end - begin]
-        np.multiply.outer(a_high[begin:end], a_low, out=g)
-        np.multiply.outer(b_high[begin:end], b_low, out=tmp)
-        g -= tmp
-        runs = g.reshape(end - begin, 1 << low_sites, 1 << low_sites)
-        differ = np.flatnonzero(runs != expected[mask_high[begin:end]])
-        if differ.size:
-            codes = code_high[begin + differ // cols] + code_low[differ % cols]
-            bad_code = min(bad_code, int(codes.min()))
+    if differ.size:
+        bad_code = int(differ[0])
+    for (a, b, code, unlike), (a_other, b_other, code_other, _) in (halves, halves[::-1]):
+        for i in unlike:
+            if code[i] >= bad_code:
+                break
+            line = code[i] | code_other
+            wrong = a[i] * a_other - b[i] * b_other != spectrum.take(_word_masks(n, line))
+            if wrong.any():
+                bad_code = min(bad_code, int(line[wrong].min()))
     elapsed = time.perf_counter() - started
     if bad_code < total:
         raise VerificationError(

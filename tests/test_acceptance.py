@@ -29,7 +29,7 @@ from kslab.fine_model import (
     random_measure_space,
     spectrum_subsets,
 )
-from kslab.hv_oracle import bruteforce_report, verify_hvkn
+from kslab.hv_oracle import ENUMERATION_CAP, bruteforce_report, verify_hvkn
 from kslab.inequalities import (
     multipartite_bound,
     multipartite_report,
@@ -116,11 +116,11 @@ def test_04_ghz_and_product_violation(announce):
 
 
 def test_05_bruteforce_recovers_bound(announce):
-    announce["label"] = "05 brute force bound n=2..12"
-    for n in range(2, 12):
+    announce["label"] = f"05 brute force bound n=2..{ENUMERATION_CAP}"
+    for n in range(2, ENUMERATION_CAP):
         assert bruteforce_report(n).bound_bruteforce == multipartite_bound(n)
     start = time.perf_counter()
-    assert bruteforce_report(12).bound_bruteforce == multipartite_bound(12)
+    assert bruteforce_report(ENUMERATION_CAP).bound_bruteforce == multipartite_bound(ENUMERATION_CAP)
     assert time.perf_counter() - start < 60.0
     announce["ok"] = True
 

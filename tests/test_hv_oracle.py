@@ -25,7 +25,6 @@ from kslab.errors import VerificationError
 from kslab.hv_oracle import (
     ENUMERATION_CAP,
     HVKN_LIMIT,
-    SWEEP_DTYPE,
     Assignment,
     BoundReport,
     _spectrum,
@@ -64,19 +63,48 @@ def oracle_halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
     return parity_dot(masks, *family_half(n, odd=False))
 
 
-def doctor_signed_products(monkeypatch, entries) -> None:
-    """Add 1 to the real part at each (sites, code) of ``entries`` in
-    every product ``_signed_products`` returns from now on."""
+def edit_signed_products(monkeypatch, edits) -> None:
+    """Add ``delta`` to the real (part 0) or imaginary (part 1) product at
+    each (sites, code, part, delta) of ``edits`` in every product
+    ``_signed_products`` returns from now on.  The two halves of an odd
+    n differ in size, so an edit reaches one of them only."""
     original = kslab.hv_oracle._signed_products
 
     def doctored(k: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        re, im = original(k, codes)
-        for sites, code in entries:
+        parts = original(k, codes)
+        for sites, code, part, delta in edits:
             if sites == k:
-                re[codes == code] += 1
-        return re, im
+                parts[part][codes == code] += delta
+        return parts
 
     monkeypatch.setattr(kslab.hv_oracle, "_signed_products", doctored)
+
+
+def doctor_signed_products(monkeypatch, entries) -> None:
+    """Add 1 to the real part at each (sites, code) of ``entries`` in
+    every product ``_signed_products`` returns from now on."""
+    edit_signed_products(monkeypatch, [(sites, code, 0, 1) for sites, code in entries])
+
+
+def random_edits(n: int, rng: random.Random) -> list[tuple[int, int, int, int]]:
+    """One to four edits of half codes of either half, each the smallest
+    code of its word mask (code < 2^k) or not, in either part."""
+    edits = []
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice((n // 2, n - n // 2))
+        smallest = rng.random() < 0.5
+        code = rng.randrange(1 << k) if smallest else rng.randrange(1 << k, 1 << (2 * k))
+        edits.append((k, code, rng.randrange(2), rng.choice((-2, -1, 1, 2))))
+    return edits
+
+
+def outcome(check, n: int) -> str | None:
+    """The message of the ``VerificationError`` check(n) raises, or None."""
+    try:
+        check(n)
+    except VerificationError as exc:
+        return str(exc)
+    return None
 
 
 class TestAssignment:
@@ -206,19 +234,82 @@ class TestBruteforceBound:
         assert str(grid.value) == str(reference.value)
 
     @pytest.mark.parametrize("n", range(2, 13))
+    def test_doctored_kernels_fail_as_the_reference_does(self, monkeypatch, n):
+        # 32 seeded kernels per n, 352 in all
+        rng = random.Random(7000 + n)
+        kinds = set()
+        for _ in range(32):
+            edits = random_edits(n, rng)
+            kinds |= {(k, code < 1 << k, part) for k, code, part, _ in edits}
+            with monkeypatch.context() as patch:
+                edit_signed_products(patch, edits)
+                assert outcome(bruteforce_report, n) == outcome(bruteforce_reference, n), edits
+        # both halves (told apart at odd n), smallest codes of their mask
+        # and others, real and imaginary parts
+        assert kinds == {
+            (k, smallest, part)
+            for k in (n // 2, n - n // 2)
+            for smallest in (True, False)
+            for part in (0, 1)
+        }
+
+    @pytest.mark.parametrize("keep_smallest", [False, True])
+    def test_wholly_wrong_kernel_fails_as_the_reference_does(self, monkeypatch, keep_smallest):
+        # seeded random products at every half code, or at every half code
+        # but the smallest of each word mask, so that only rows and columns
+        # can find the mismatches
+        original = kslab.hv_oracle._signed_products
+
+        def scrambled(k: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            rng = np.random.default_rng(k)
+            parts = original(k, codes)
+            kept = codes < (1 << k) if keep_smallest else np.zeros(codes.shape, dtype=bool)
+            for part in parts:
+                part[~kept] = rng.integers(-3, 4, size=int((~kept).sum()))
+            return parts
+
+        monkeypatch.setattr(kslab.hv_oracle, "_signed_products", scrambled)
+        message = outcome(bruteforce_reference, 12)
+        assert message is not None
+        assert outcome(bruteforce_report, 12) == message
+
+    def test_right_kernel_evaluates_no_row_or_column(self, monkeypatch):
+        n = ENUMERATION_CAP
+        sizes = []
+        masks_calls = []
+        kernel, word_masks = kslab.hv_oracle._signed_products, kslab.hv_oracle._word_masks
+
+        def counted_kernel(k, codes):
+            sizes.append(codes.size)
+            return kernel(k, codes)
+
+        def counted_masks(k, codes):
+            masks_calls.append(k)
+            return word_masks(k, codes)
+
+        monkeypatch.setattr(kslab.hv_oracle, "_signed_products", counted_kernel)
+        monkeypatch.setattr(kslab.hv_oracle, "_word_masks", counted_masks)
+        assert bruteforce_report(n).bound_bruteforce == multipartite_bound(n)
+        # one kernel call and one mask table per half; a row or a column
+        # would read the masks of its n-site codes
+        assert sizes == [4 ** (n // 2), 4 ** (n - n // 2)]
+        assert masks_calls == [n // 2, n - n // 2]
+
+        # the count sees a row: one half code that is not the smallest of
+        # its mask, edited, costs one more mask read
+        masks_calls.clear()
+        edit_signed_products(monkeypatch, [(n // 2, 1 << (n // 2), 0, 1)])
+        with pytest.raises(VerificationError):
+            bruteforce_report(n)
+        assert n in masks_calls
+
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_code_order_reference(self, n):
         best_g, best_code, min_g = bruteforce_reference(n, cross_check=False)
         report = bruteforce_report(n)
         assert report.bound_bruteforce == best_g
         assert report.g_min == min_g
         assert to_bits(report.witness) == best_code
-
-    def test_sweep_dtype_holds_the_capped_range(self):
-        # the even spectrum's word sums reach 2^(n-1), the widest values
-        # the sweep holds; g and the half tables stay within 2^(n/2)
-        assert np.iinfo(SWEEP_DTYPE).max >= 1 << (ENUMERATION_CAP - 1)
-        widest = int(np.abs(_spectrum(ENUMERATION_CAP, False)).max())
-        assert widest <= np.iinfo(SWEEP_DTYPE).max
 
     def test_cap_is_enforced(self):
         with pytest.raises(ValueError, match="2 <= n"):
