@@ -37,8 +37,8 @@ DIM_LIMIT = 64
 # Largest magnitude of an operator entry.  It keeps _hermitize's m + m^H
 # finite, and keeps the trace identity and the diagonal check clear of
 # rounding, which breaks them for random operators and states from entries
-# of about 1e6 on.  The commutator tolerance is absolute too: a commuting
-# family can still be called non-commuting from entries of about 1e3 on.
+# of about 1e6 on.  The commutator check needs no such margin: its
+# tolerance scales with the entries of the pair it compares.
 ENTRY_LIMIT = 1e4
 
 # "almost everywhere" on a finite space: every point of positive weight
@@ -189,8 +189,12 @@ class FiniteHVModel:
 
 
 def _require_commuting(matrices: Sequence[np.ndarray]) -> None:
+    """Raise unless every pair commutes.  The rounding of AB - BA grows with
+    max|A| * max|B|, so the tolerance is ATOL_COMMUTATOR times that product
+    once it exceeds 1."""
     for (i, a), (j, b) in itertools.combinations(enumerate(matrices), 2):
-        if not np.max(np.abs(a @ b - b @ a)) <= ATOL_COMMUTATOR:
+        scale = max(1.0, float(np.max(np.abs(a))) * float(np.max(np.abs(b))))
+        if not np.max(np.abs(a @ b - b @ a)) <= ATOL_COMMUTATOR * scale:
             raise ValueError(f"family members {i} and {j} do not commute")
 
 

@@ -139,6 +139,21 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="do not commute"):
             build_model(maximally_mixed(1), [LETTER["Z"], LETTER["X"]])
 
+    @pytest.mark.parametrize("random_state", [False, True], ids=["mixed", "random"])
+    def test_scaled_commuting_families_build(self, random_state):
+        # the rounding of AB - BA grows with max|A| * max|B|; an absolute
+        # tolerance called 13 of these 15 families non-commuting
+        for seed in range(5):
+            for n in (1, 3, 6):
+                rng = np.random.default_rng(seed)
+                family = [1e3 * m for m in random_commuting_family(rng, n, 2)]
+                state = random_density(n, rng) if random_state else maximally_mixed(n)
+                assert len(build_model(state, family).value_table) == 2
+
+    def test_rejects_scaled_non_commuting_dense_pair(self):
+        with pytest.raises(ValueError, match="do not commute"):
+            build_model(maximally_mixed(1), [1e3 * LETTER["X"], 1e3 * LETTER["Z"]])
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="empty"):
             build_model(pi_state(), [])
