@@ -222,18 +222,18 @@ def bruteforce_report(n: int) -> BoundReport:
     (a_low, b_low, _, _), (a_high, b_high, _, _) = halves
     g = np.multiply.outer(a_high[: 1 << high_sites], a_low[: 1 << low_sites])
     g -= np.multiply.outer(b_high[: 1 << high_sites], b_low[: 1 << low_sites])
-    differ = np.flatnonzero(g.ravel() != spectrum)
+    wrong = g.ravel() != spectrum
     total = bad_code = 1 << (2 * n)
-    if differ.size:
-        bad_code = int(differ[0])
+    if wrong.any():
+        bad_code = int(wrong.argmax())
     for (a, b, code, unlike), (a_other, b_other, code_other, _) in (halves, halves[::-1]):
         for i in unlike:
             if code[i] >= bad_code:
                 break
-            line = code[i] | code_other
+            line = code[i] | code_other  # ascending, as code_other is
             wrong = a[i] * a_other - b[i] * b_other != spectrum.take(_word_masks(n, line))
             if wrong.any():
-                bad_code = min(bad_code, int(line[wrong].min()))
+                bad_code = min(bad_code, int(line[wrong.argmax()]))
     elapsed = time.perf_counter() - started
     if bad_code < total:
         raise VerificationError(

@@ -51,16 +51,18 @@ GENERATED = {
 }
 
 
-def _raise_real_parts(kernel: Callable, entries) -> Callable:
-    """``kernel`` with 1 added to the real part at each (sites, code) of
-    ``entries``."""
+def edit_products(kernel: Callable, edits) -> Callable:
+    """The site-product kernel ``kernel`` with ``delta`` added to the real
+    (part 0) or imaginary (part 1) product at each (sites, code, part,
+    delta) of ``edits``.  The two halves of an odd n differ in size, so
+    an edit reaches one of them only."""
 
     def doctored(k, codes):
-        re, im = kernel(k, codes)
-        for sites, code in entries:
+        parts = kernel(k, codes)
+        for sites, code, part, delta in edits:
             if sites == k:
-                re[codes == code] += 1
-        return re, im
+                parts[part][codes == code] += delta
+        return parts
 
     return doctored
 
@@ -87,10 +89,11 @@ DOCTORS: dict[str, tuple[str, Callable]] = {
     "bound-bruteforce": (
         "kslab.inequalities.multipartite_bound", lambda f: lambda n: f(n) + 1,
     ),
-    # the two half codes of n = 13 whose mismatches fall in different rows
+    # at n = 13: a low-half code that is not the smallest of its word
+    # mask, and a high-half code that is
     "bound-bruteforce-kernel": (
         "kslab.hv_oracle._signed_products",
-        lambda f: _raise_real_parts(f, ((6, 1 << 6), (7, 16))),
+        lambda f: edit_products(f, ((6, 1 << 6, 0, 1), (7, 16, 0, 1))),
     ),
     "bound-bruteforce-spectrum": (
         "kslab.hv_oracle._spectrum", lambda f: _raise_word_sum(f, 4, 0b0101),

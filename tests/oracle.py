@@ -15,8 +15,8 @@ dense-state parser that the streamed ``read_dense_state`` replaces.
 shifted Cholesky factor of ``DenseState``'s positivity check replaces.
 ``closure_break_reference`` is the scalar double loop over ``pauli_mul``
 that the single-bit-column certificate of ``closure_break`` replaces.  ``bruteforce_reference``
-is the code-order block loop that the row-block grid sweep of
-``bruteforce_report`` replaces.  ``verify_hvkn_reference`` is the
+is the code-order block loop, every code multiplied out, that the
+per-word-mask check of ``bruteforce_report`` replaces.  ``verify_hvkn_reference`` is the
 one-piece identity check, every code in a single array and the sample
 stream drawn in one call (``hvkn_reference_codes``), that the blocked
 ``verify_hvkn`` replaces.  ``to_bits`` and ``scan_from_csv`` read an

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from golden_corpus import edit_products
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
@@ -64,20 +65,10 @@ def oracle_halfgroup_sums(n: int, ints: np.ndarray) -> np.ndarray:
 
 
 def edit_signed_products(monkeypatch, edits) -> None:
-    """Add ``delta`` to the real (part 0) or imaginary (part 1) product at
-    each (sites, code, part, delta) of ``edits`` in every product
-    ``_signed_products`` returns from now on.  The two halves of an odd
-    n differ in size, so an edit reaches one of them only."""
+    """Apply ``edit_products`` with ``edits`` to every product
+    ``_signed_products`` returns from now on."""
     original = kslab.hv_oracle._signed_products
-
-    def doctored(k: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        parts = original(k, codes)
-        for sites, code, part, delta in edits:
-            if sites == k:
-                parts[part][codes == code] += delta
-        return parts
-
-    monkeypatch.setattr(kslab.hv_oracle, "_signed_products", doctored)
+    monkeypatch.setattr(kslab.hv_oracle, "_signed_products", edit_products(original, edits))
 
 
 def doctor_signed_products(monkeypatch, entries) -> None:
@@ -219,9 +210,10 @@ class TestBruteforceBound:
         [
             # one code of the five sites both halves have at n = 10
             (10, ((5, 995),)),
-            # the first block with a mismatch (row 0, where vy_0 = -1) is
-            # not the one holding the smallest mismatching code (row 16,
-            # where vx_10 = -1)
+            # a low-half code that is not the smallest of its mask
+            # (vy_0 = -1), whose column holds only larger codes, and a
+            # high-half code that is (vx_10 = -1), whose mismatch the
+            # compare per word mask finds first
             (13, ((6, 1 << 6), (7, 16))),
         ],
     )
