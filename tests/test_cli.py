@@ -564,12 +564,10 @@ class TestVerify:
         assert json.loads(out)["ok"] is False
 
 
-# One doctored route per verification site: the subcommand, the attribute
-# to replace, a function from its original value to the replacement, and
-# whether the route raises (True) or reports a failure in strict JSON
-# (False): ok: false, or for ``group`` closure: false and its first break.
-# Doctored routes, by ``DOCTORS`` name (``tests/golden_corpus.py``): argv,
-# and whether the route raises (otherwise it reports a failure).
+# One doctored route per verification site, by the name of its patch in
+# ``golden_corpus.DOCTORS``: the subcommand, and whether the route raises
+# (True) or reports a failure in strict JSON (False): ok: false, or for
+# ``group`` closure: false and its first break.
 _DOCTORED = {
     "bound-bruteforce": (["bound", "--n", "4", "--bruteforce"], True),
     "violate-dense-multi": (["violate", "--state", "dense:@{dense}", "--kind", "multi"], True),
