@@ -239,6 +239,7 @@ CASES: dict[str, list[str]] = {
     "doctored_bound_kernel": ["bound", "--n", "13", "--bruteforce"],
     "doctored_bound_spectrum": ["bound", "--n", "4", "--bruteforce"],
     "doctored_violate_werner": _violate("werner:lambda=0.5"),
+    "doctored_violate_dense_multi": _dense("bell.txt", "--kind", "multi"),
     "doctored_group": ["group", "--n", "3"],
     "doctored_identities_element": ["verify", "--suite", "identities"],
     "doctored_identities_residual": ["verify", "--suite", "identities"],
@@ -246,17 +247,21 @@ CASES: dict[str, list[str]] = {
     "doctored_identities_residual_inf": ["verify", "--suite", "identities"],
     "doctored_hvkn": ["verify", "--suite", "hvkn"],
     "doctored_certificates": ["verify", "--suite", "certificates"],
+    "doctored_fine_register": ["verify", "--suite", "fine"],
     "doctored_fine_pullback": ["verify", "--suite", "fine"],
 }
 
 # Invocations that run under a patch, by case: the ``DOCTORS`` name.  Every
-# route of ``DOCTORS`` is here but two whose report carries a rounding
-# residual: the dense term sums and the fine suite's diagonal check.
+# route of ``DOCTORS`` is here.  The two whose message prints a float
+# residual are pinned on inputs where that residual is exact: the dense
+# term sums of the Bell state, and the fine suite's first model, whose
+# family (+ZI, +IZ) is diagonal.
 DOCTORED = {
     "doctored_bound_formula": "bound-bruteforce",
     "doctored_bound_kernel": "bound-bruteforce-kernel",
     "doctored_bound_spectrum": "bound-bruteforce-spectrum",
     "doctored_violate_werner": "violate-werner",
+    "doctored_violate_dense_multi": "violate-dense-multi",
     "doctored_group": "group",
     "doctored_identities_element": "verify-identities-element",
     "doctored_identities_residual": "verify-identities-residual",
@@ -264,6 +269,7 @@ DOCTORED = {
     "doctored_identities_residual_inf": "verify-identities-residual-inf",
     "doctored_hvkn": "verify-hvkn",
     "doctored_certificates": "verify-certificates",
+    "doctored_fine_register": "verify-fine-register",
     "doctored_fine_pullback": "verify-fine-pullback",
 }
 

@@ -567,7 +567,9 @@ class TestVerify:
 # One doctored route per verification site, by the name of its patch in
 # ``golden_corpus.DOCTORS``: the subcommand, and whether the route raises
 # (True) or reports a failure in strict JSON (False): ok: false, or for
-# ``group`` closure: false and its first break.
+# ``group`` closure: false and its first break.  ``golden_corpus.DOCTORED``
+# pins the exact output of every one of them, the two routes whose message
+# prints a float residual included.
 _DOCTORED = {
     "bound-bruteforce": (["bound", "--n", "4", "--bruteforce"], True),
     "violate-dense-multi": (["violate", "--state", "dense:@{dense}", "--kind", "multi"], True),

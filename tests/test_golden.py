@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from golden_corpus import CASES, GOLDEN, prepare, run
+from golden_corpus import CASES, DOCTORED, DOCTORS, GOLDEN, prepare, run
 
 FILES = sorted(GOLDEN.glob("*.json"))
 
@@ -40,6 +40,10 @@ def inputs(tmp_path_factory):
 
 def test_corpus_matches_the_cases():
     assert [path.stem for path in FILES] == sorted(CASES)
+
+
+def test_every_doctored_route_is_pinned():
+    assert set(DOCTORED.values()) == set(DOCTORS)
 
 
 @pytest.mark.parametrize("path", FILES, ids=[path.stem for path in FILES])
