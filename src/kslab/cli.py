@@ -93,15 +93,9 @@ def _cmd_violate(args: argparse.Namespace) -> tuple[Payload, bool]:
     from .states import parse_state_spec
 
     state = parse_state_spec(args.state)
-    kind = args.kind or ("two" if state.n == 2 else "multi")
-    if kind == "two":
-        report = two_partite_report(state)
-        payload = {"state": args.state, **report.to_dict()}
-        payload["fidelity"] = report.fidelity
-    else:
-        report = multipartite_report(state)
-        payload = {"state": args.state, **report.to_dict()}
-    return payload, True
+    two = args.kind == "two" or (args.kind is None and state.n == 2)
+    report = (two_partite_report if two else multipartite_report)(state)
+    return {"state": args.state, **report.to_dict()}, True
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[Payload, bool]:

@@ -14,7 +14,7 @@ import math
 from typing import IO, Callable, Iterator
 
 from .errors import line_fault
-from .inequalities import InequalityReport, decide_violation, multipartite_bound
+from .inequalities import SIGNIFICANCE_K, InequalityReport
 from .pauli import LINE_LIMIT, SITE_LIMIT, LambdaIndex, PauliString, lambda_element
 
 KINDS = ("two-partite", "multipartite")
@@ -129,7 +129,7 @@ def _first_words(words: list[str], total: int) -> str:
 
 
 def evaluate_experiment(
-    table: dict[str, tuple[float, float]], kind: str, n: int, k: float = 3.0
+    table: dict[str, tuple[float, float]], kind: str, n: int, k: float = SIGNIFICANCE_K
 ) -> InequalityReport:
     """Signed sum of an ``ingest_correlators`` table against the classical bound.
 
@@ -163,22 +163,13 @@ def evaluate_experiment(
     # I < Z and X < Y < Z: the sums run in a fixed order, XX, YY, ZZ first
     values, sigmas = zip(*(table[word] for word in sorted(table)))
     if kind == "two-partite":
-        lhs, bound = 1.0 + values[0] + values[1] - values[2], 2.0
+        lhs = 1.0 + values[0] + values[1] - values[2]
     else:
         try:
             lhs = math.fsum(values)
         except OverflowError:  # a partial sum left the float range
             lhs = math.inf
-        bound = multipartite_bound(n)
     sigma = math.hypot(*sigmas)
     if not (math.isfinite(lhs) and math.isfinite(sigma)):
         raise ValueError(f"{kind} sums overflow: lhs {lhs}, sigma {sigma}")
-    return InequalityReport(
-        kind=kind,
-        n=n,
-        lhs=lhs,
-        bound=bound,
-        ratio=lhs / bound,
-        violated=decide_violation(lhs, bound, sigma, k),
-        uncertainty=sigma,
-    )
+    return InequalityReport.scored(kind, n, lhs, sigma, k)

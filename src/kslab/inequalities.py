@@ -31,13 +31,16 @@ if TYPE_CHECKING:
 # sites at (0, 0, 0.42961333839196997) and of n = 100 sites at
 # (0, 0, 0.42405019559707174) get the wrong verdict in both directions.
 GUARD_BAND = 1e-9
+# Standard errors by which an lhs with an uncertainty must exceed its
+# bound, unless the caller sets k.
+SIGNIFICANCE_K = 3.0
 
 _SQRT_HALF = 2**-0.5
 
 
 @dataclass
 class InequalityReport:
-    """Outcome of one inequality evaluation."""
+    """Outcome of one inequality evaluation; ``scored`` builds one."""
 
     kind: str
     n: int
@@ -48,9 +51,26 @@ class InequalityReport:
     uncertainty: float | None = None
     fidelity: float | None = None
 
+    @classmethod
+    def scored(
+        cls,
+        kind: str,
+        n: int,
+        lhs: float,
+        uncertainty: float | None = None,
+        k: float = SIGNIFICANCE_K,
+        fidelity: float | None = None,
+    ) -> InequalityReport:
+        """The report of ``lhs`` against the classical bound of its kind:
+        2 for ``"two-partite"``, ``multipartite_bound(n)`` otherwise."""
+        bound = 2.0 if kind == "two-partite" else multipartite_bound(n)
+        violated = decide_violation(lhs, bound, uncertainty, k)
+        return cls(kind, n, lhs, bound, lhs / bound, violated, uncertainty, fidelity)
+
     def to_dict(self) -> dict:
-        """The serialized form; ``uncertainty`` travels under the key ``sigma``."""
-        return {
+        """The serialized form; ``uncertainty`` travels under the key
+        ``sigma``, and ``fidelity`` comes last, only when it is set."""
+        data = {
             "kind": self.kind,
             "n": self.n,
             "lhs": self.lhs,
@@ -59,10 +79,13 @@ class InequalityReport:
             "violated": self.violated,
             "sigma": self.uncertainty,
         }
+        if self.fidelity is not None:
+            data["fidelity"] = self.fidelity
+        return data
 
 
 def decide_violation(
-    lhs: float, bound: float, uncertainty: float | None = None, k: float = 3.0
+    lhs: float, bound: float, uncertainty: float | None = None, k: float = SIGNIFICANCE_K
 ) -> bool:
     """Strict exceedance test: k standard errors with uncertainty, a fixed
     guard band without.  k must be finite and non-negative."""
@@ -81,16 +104,7 @@ def two_partite_report(state: StateModel) -> InequalityReport:
     if state.n != 2:
         raise ValueError("two-partite inequality needs n = 2")
     fidelity = bell_fidelity(state)
-    lhs = 4 * fidelity
-    return InequalityReport(
-        kind="two-partite",
-        n=2,
-        lhs=lhs,
-        bound=2.0,
-        ratio=lhs / 2.0,
-        violated=decide_violation(lhs, 2.0),
-        fidelity=fidelity,
-    )
+    return InequalityReport.scored("two-partite", 2, 4 * fidelity, fidelity=fidelity)
 
 
 def multipartite_bound(n: int) -> float:
@@ -103,16 +117,7 @@ def multipartite_bound(n: int) -> float:
 def multipartite_report(state: StateModel) -> InequalityReport:
     from .states import f_value
 
-    lhs = f_value(state)
-    bound = multipartite_bound(state.n)
-    return InequalityReport(
-        kind="multipartite",
-        n=state.n,
-        lhs=lhs,
-        bound=bound,
-        ratio=lhs / bound,
-        violated=decide_violation(lhs, bound),
-    )
+    return InequalityReport.scored("multipartite", state.n, f_value(state))
 
 
 def scan(n_min: int, n_max: int) -> list[tuple[str, InequalityReport]]:
@@ -134,23 +139,16 @@ _CSV_COLUMNS = ["state", "kind", "n", "lhs", "bound", "ratio", "violated", "sigm
 
 
 def scan_to_csv(rows: list[tuple[str, InequalityReport]]) -> str:
+    """One row per report, each cell read from its ``to_dict`` by column:
+    a bool as ``true`` or ``false``, None as an empty cell, a float as its
+    repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for label, report in rows:
-        data = report.to_dict()
-        writer.writerow(
-            [
-                label,
-                data["kind"],
-                data["n"],
-                repr(data["lhs"]),
-                repr(data["bound"]),
-                repr(data["ratio"]),
-                "true" if data["violated"] else "false",
-                "" if data["sigma"] is None else repr(data["sigma"]),
-            ]
-        )
+        data = {"state": label, **report.to_dict()}
+        cells = (data[column] for column in _CSV_COLUMNS)
+        writer.writerow(str(cell).lower() if isinstance(cell, bool) else cell for cell in cells)
     return buf.getvalue()
 
 
