@@ -4,8 +4,9 @@ Matrices are composed from rendered text (sign prefix, one letter per
 site, the true sigma_y), so none of the package's mask or phase
 bookkeeping is reused by ``oracle_matrix``.  Signed parity sums are summed
 term by term, the brute-force route that the Walsh-Hadamard spectra
-replace.  ``scan_range`` is the Gray-order sweep of site values that the
-blocked numpy enumeration of ``bruteforce_report`` replaces.
+replace.  ``scan_range`` is the Gray-order sweep of site values, one
+value of g per assignment, that checks the extrema and the witness
+``bruteforce_report`` reads from its word-sum spectrum.
 ``HnObservable`` is the rank-two observable behind F^psi, and
 ``half_group_term_sum`` sums F^psi of an analytic state over its 2^{n-1}
 half-group terms, the route that the closed forms in ``kslab.states``
@@ -13,15 +14,16 @@ replace.  ``read_dense_reference`` is the whole-file, entry-by-entry
 dense-state parser that the streamed ``read_dense_state`` replaces.
 ``positive_semidefinite_reference`` is the eigenvalue verdict that the
 shifted Cholesky factor of ``DenseState``'s positivity check replaces.
-``closure_break_reference`` is the scalar double loop over ``pauli_mul``
-that the single-bit-column certificate of ``closure_break`` replaces.  ``bruteforce_reference``
-is the code-order block loop, every code multiplied out, that the
-per-word-mask check of ``bruteforce_report`` replaces.  ``verify_hvkn_reference`` is the
-one-piece identity check, every code in a single array and the sample
-stream drawn in one call (``hvkn_reference_codes``), that the blocked
-``verify_hvkn`` replaces.  ``to_bits`` and ``scan_from_csv`` read an
-assignment's code and a ``scan --format csv`` table back, the inverses
-of ``Assignment.from_bits`` and ``scan_to_csv``.
+``closure_break_reference`` is the scalar double loop over ``pauli_mul``,
+every row of the table, that the single-bit-row scan of ``closure_break``
+replaces.  ``bruteforce_reference`` is the code-order block loop, every
+code multiplied out, that the per-word-mask check of ``bruteforce_report``
+replaces.  ``verify_hvkn_reference`` is the one-piece identity check,
+every code in a single array and the sample stream drawn in one call
+(``hvkn_reference_codes``), that the blocked ``verify_hvkn`` replaces.
+``to_bits`` and ``scan_from_csv`` read an assignment's code and a
+``scan --format csv`` table back, the inverses of
+``Assignment.from_bits`` and ``scan_to_csv``.
 """
 
 from __future__ import annotations

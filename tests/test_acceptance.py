@@ -46,6 +46,22 @@ from kslab.states import (
 )
 
 
+# The battery's summary labels, in test order; README's printout shows
+# the same ten.
+LABELS = (
+    "01 group law n=2..8",
+    "02 sum identities n=2..8",
+    "03 Werner lambda=1/2",
+    "04 GHZ and product states n=2..20",
+    f"05 brute force bound n=2..{ENUMERATION_CAP}",
+    "06 contradiction certificates",
+    "07 assignment identities n=2..12",
+    "08 finite models, 50 families",
+    "09 measure lemma, 100 spaces",
+    "10 CLI contract",
+)
+
+
 @pytest.fixture
 def announce(capsys):
     info = {"label": "?", "ok": False}
@@ -58,7 +74,7 @@ def announce(capsys):
 
 
 def test_01_group_law(announce):
-    announce["label"] = "01 group law n=2..8"
+    announce["label"] = LABELS[0]
     start = time.perf_counter()
     for n in range(2, 9):
         elements = [lambda_element(LambdaIndex(n, p)) for p in range(1 << n)]
@@ -70,7 +86,7 @@ def test_01_group_law(announce):
 
 
 def test_02_sum_identities(announce):
-    announce["label"] = "02 sum identities n=2..8"
+    announce["label"] = LABELS[1]
     for n in range(2, 9):
         report = verify_sum_identities(n)
         assert report.ok, report.first_mismatch
@@ -81,7 +97,7 @@ def test_02_sum_identities(announce):
 
 
 def test_03_werner_point(announce):
-    announce["label"] = "03 Werner lambda=1/2"
+    announce["label"] = LABELS[2]
     report = two_partite_report(WernerState(0.5))
     assert report.lhs == pytest.approx(2.5, abs=1e-10)
     assert report.fidelity == pytest.approx(0.625, abs=1e-10)
@@ -90,7 +106,7 @@ def test_03_werner_point(announce):
 
 
 def test_04_ghz_and_product_violation(announce):
-    announce["label"] = "04 GHZ and product states n=2..20"
+    announce["label"] = LABELS[3]
     rng = np.random.default_rng(417)
     for n in range(2, 21):
         target = float(1 << (n - 1))
@@ -116,7 +132,7 @@ def test_04_ghz_and_product_violation(announce):
 
 
 def test_05_bruteforce_recovers_bound(announce):
-    announce["label"] = f"05 brute force bound n=2..{ENUMERATION_CAP}"
+    announce["label"] = LABELS[4]
     for n in range(2, ENUMERATION_CAP):
         assert bruteforce_report(n).bound_bruteforce == multipartite_bound(n)
     start = time.perf_counter()
@@ -126,7 +142,7 @@ def test_05_bruteforce_recovers_bound(announce):
 
 
 def test_06_contradiction_certificates(announce):
-    announce["label"] = "06 contradiction certificates"
+    announce["label"] = LABELS[5]
     for certificate in (peres_mermin_certificate(), ghz_certificate()):
         assert certificate.satisfying_count == 0
         assert certificate.total_count > 0
@@ -139,7 +155,7 @@ def test_06_contradiction_certificates(announce):
 
 
 def test_07_hvkn_identity(announce):
-    announce["label"] = "07 assignment identities n=2..12"
+    announce["label"] = LABELS[6]
     for n in range(2, 9):
         report = verify_hvkn(n)
         assert report.mode == "exhaustive"
@@ -154,7 +170,7 @@ def test_07_hvkn_identity(announce):
 
 
 def test_08_fine_model_suite(announce):
-    announce["label"] = "08 finite models, 50 families"
+    announce["label"] = LABELS[7]
     rng = np.random.default_rng(8150)
     pools = {
         n: [random_density(n, rng) for _ in range(count)]
@@ -189,7 +205,7 @@ def test_08_fine_model_suite(announce):
 
 
 def test_09_measure_lemma(announce):
-    announce["label"] = "09 measure lemma, 100 spaces"
+    announce["label"] = LABELS[8]
     rng = np.random.default_rng(915)
     for _ in range(100):
         assert check_measure_lemma(*random_measure_space(rng))
@@ -197,7 +213,7 @@ def test_09_measure_lemma(announce):
 
 
 def test_10_cli_contract(announce, capsys, tmp_path):
-    announce["label"] = "10 CLI contract"
+    announce["label"] = LABELS[9]
     code = main(["violate", "--state", "werner:lambda=0.5", "--kind", "two"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0

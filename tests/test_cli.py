@@ -15,9 +15,9 @@ from oracle import oracle_matrix, scan_from_csv
 import kslab.experiment
 import kslab.inequalities
 import kslab.pauli
-from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, main
+from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, build_parser, main
 from kslab.experiment import required_words
-from kslab.inequalities import scan
+from kslab.inequalities import SIGNIFICANCE_K, scan
 from kslab.pauli import GROUP_LIMIT, PauliString, lambda_element
 from kslab.states import (
     DenseState,
@@ -335,6 +335,11 @@ class TestCheck:
         payload = run_json(capsys, "check", "--file", path, "--kind", "two", "--k", "100")
         assert payload["violated"] is False
         assert payload["k"] == 100.0
+
+    def test_default_threshold_is_the_library_default(self):
+        # the parser loads no kslab.inequalities, so it spells the value out
+        args = build_parser().parse_args(["check", "--file", "data.csv", "--kind", "two"])
+        assert args.k == SIGNIFICANCE_K
 
     @pytest.mark.parametrize("k", ["-5", "nan", "inf", "-inf", "-1e3", "-nan"])
     def test_bad_threshold_is_usage_error(self, capsys, tmp_path, k):

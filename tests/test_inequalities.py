@@ -13,6 +13,7 @@ from oracle import oracle_matrix, scan_from_csv
 from kslab.pauli import SITE_LIMIT
 from kslab.inequalities import (
     GUARD_BAND,
+    SIGNIFICANCE_K,
     InequalityReport,
     decide_violation,
     multipartite_bound,
@@ -82,6 +83,11 @@ class TestTwoPartite:
         assert report.fidelity == pytest.approx(0.625, abs=1e-12)
         assert report.violated
         assert report.uncertainty is None
+
+    def test_dict_carries_the_fidelity_last(self):
+        data = two_partite_report(WernerState(0.5)).to_dict()
+        assert data["fidelity"] == 0.625
+        assert list(data)[-1] == "fidelity"
 
     def test_werner_third_sits_on_the_bound(self):
         report = two_partite_report(WernerState(1 / 3))
@@ -197,6 +203,33 @@ class TestMultipartiteReport:
         assert report.violated == (exact - Fraction(multipartite_bound(n)) > GUARD_BAND)
 
 
+class TestScored:
+    def test_matches_the_hand_built_report(self):
+        rng = np.random.default_rng(2404)
+        for _ in range(2000):
+            two = bool(rng.integers(2))
+            n = 2 if two else int(rng.integers(2, SITE_LIMIT + 1))
+            bound = 2.0 if two else float(2 ** (n // 2))
+            # near the bound, so both verdicts occur under every rule
+            lhs = bound + bound * float(rng.normal(0, 0.5)) * float(rng.choice([1e-12, 1e-3, 1]))
+            uncertainty = [None, 0.0, bound * float(rng.exponential(0.1))][int(rng.integers(3))]
+            k = float(rng.choice([0.0, 1.0, SIGNIFICANCE_K, 7.5]))
+            margin = k * uncertainty if uncertainty else GUARD_BAND
+            kind = "two-partite" if two else "multipartite"
+            expected = InequalityReport(
+                kind, n, lhs, bound, lhs / bound, lhs - bound > margin, uncertainty
+            )
+            assert InequalityReport.scored(kind, n, lhs, uncertainty, k) == expected
+            if k == SIGNIFICANCE_K:
+                assert InequalityReport.scored(kind, n, lhs, uncertainty) == expected
+
+    def test_bound_comes_before_the_threshold(self):
+        with pytest.raises(ValueError, match="bound defined for"):
+            InequalityReport.scored("multipartite", 1, 1.0, k=float("nan"))
+        with pytest.raises(ValueError, match="k must be finite"):
+            InequalityReport.scored("multipartite", 2, 1.0, k=float("nan"))
+
+
 class TestScan:
     def test_rows_and_labels(self):
         rows = scan(2, 5)
@@ -218,6 +251,16 @@ class TestScan:
         text = scan_to_csv(rows)
         assert text.splitlines()[0] == "state,kind,n,lhs,bound,ratio,violated,sigma"
         assert scan_from_csv(text) == rows
+
+    @pytest.mark.parametrize(
+        "sigma, cells",
+        [(0.125, "2.5,2.0,1.25,true,0.125"), (0.25, "2.5,2.0,1.25,false,0.25")],
+    )
+    def test_csv_row_of_a_two_partite_report(self, sigma, cells):
+        report = InequalityReport(
+            "two-partite", 2, 2.5, 2.0, 1.25, decide_violation(2.5, 2.0, sigma), sigma, 0.625
+        )
+        assert scan_to_csv([("w", report)]).splitlines()[1] == f"w,two-partite,2,{cells}"
 
     def test_json_shape(self):
         data = json.loads(scan_to_json(scan(2, 3)))

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_acceptance import LABELS
 
 from kslab.cli import EXIT_PASS, main
 
@@ -19,6 +20,8 @@ TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)
 # (argv, shown JSON) of each ``$ kslab ...`` example followed by its report
 REPORTS = re.findall(r"^\$ kslab ([^\n]*)\n(\{\n.*?^\})$", TEXT, re.M | re.S)
+# the labels of the acceptance printout, timings dropped
+ACCEPTANCE = re.findall(r"^acceptance (.*): PASS \([\d.]+s\)$", TEXT, re.M)
 
 
 def test_readme_has_python_examples():
@@ -32,6 +35,10 @@ def test_python_example_runs(index, kslab_env):
         capture_output=True, text=True, env=kslab_env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_acceptance_printout_names_the_battery():
+    assert ACCEPTANCE == list(LABELS)
 
 
 def test_readme_shows_reports():
