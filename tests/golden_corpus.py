@@ -7,16 +7,28 @@ directory that holds the committed files of ``tests/golden/inputs/``
 and the large inputs built by ``GENERATED``, so that argv can name them
 by bare file name.  An argv that starts with ``python -m kslab.cli``
 runs as a child process of the current interpreter instead, to pin the
-module entry point.  ``elapsed`` is masked in stdout.  An invocation
-named in ``DOCTORED`` runs with one of the ``DOCTORS`` patches applied,
-recorded in the file's ``doctor`` field, so that it pins a route's
-verification failure (exit 2).
+module entry point.  ``elapsed`` is masked in stdout.
+
+``run`` is the one runner of the corpus and of the CLI fuzz tests, and
+every invocation it runs must end by the outcome rule, or it raises:
+
+- the exit code is 0, 1 or 2;
+- stdout that starts with ``{`` or ``[`` is strict JSON (no NaN or
+  Infinity);
+- stderr holds at most one line.  When the parser refused argv, its
+  usage text is not counted, only its ``...: error: ...`` line.
+
+To add a doctored route, one that must fail its verification (exit 2),
+add one entry to ``DOCTORS``: its case name, argv, the dotted patch
+target and the patch.  The entry makes the case, and its file records
+the patch in a ``doctor`` field.
 
 Regenerate every file with::
 
     PYTHONPATH=src python tests/golden_corpus.py
 
-A regenerated file whose values changed records a change of the CLI
+A record that breaks the outcome rule raises, so it is never pinned.  A
+regenerated file whose values changed records a change of the CLI
 contract, not a fix.
 """
 
@@ -26,6 +38,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -82,61 +95,6 @@ def _raise_word_sum(spectrum: Callable, n: int, mask: int) -> Callable:
     return doctored
 
 
-# Patches that each make one route fail its verification, by name: the
-# dotted target and a function from its original value to the doctored
-# one.  The CLI tests drive every one of them to exit 2.
-DOCTORS: dict[str, tuple[str, Callable]] = {
-    "bound-bruteforce": (
-        "kslab.inequalities.multipartite_bound", lambda f: lambda n: f(n) + 1,
-    ),
-    # at n = 13: a low-half code that is not the smallest of its word
-    # mask, and a high-half code that is
-    "bound-bruteforce-kernel": (
-        "kslab.hv_oracle._signed_products",
-        lambda f: edit_products(f, ((6, 1 << 6, 0, 1), (7, 16, 0, 1))),
-    ),
-    "bound-bruteforce-spectrum": (
-        "kslab.hv_oracle._spectrum", lambda f: _raise_word_sum(f, 4, 0b0101),
-    ),
-    "violate-dense-multi": ("kslab.states.walsh_hadamard", lambda f: lambda d: f(d) + 1),
-    "violate-werner": ("kslab.states._pi_overlap", lambda f: lambda state: float("nan")),
-    "verify-identities-element": (
-        "kslab.pauli._element",
-        lambda f: lambda *a: dataclasses.replace(f(*a), phase_exp=(f(*a).phase_exp + 1) % 4),
-    ),
-    "verify-identities-residual": ("kslab.pauli._dense_residual", lambda f: lambda *a: 1.0),
-    "verify-identities-residual-nan": (
-        "kslab.pauli._dense_residual", lambda f: lambda *a: float("nan"),
-    ),
-    "verify-identities-residual-inf": (
-        "kslab.pauli._dense_residual", lambda f: lambda *a: float("inf"),
-    ),
-    "group": (
-        "kslab.pauli.lambda_element",
-        lambda f: lambda idx: dataclasses.replace(f(idx), phase_exp=2) if idx.p == 5 else f(idx),
-    ),
-    "verify-hvkn": (
-        "kslab.hv_oracle._signed_products", lambda f: lambda *a: (f(*a)[0] + 1, f(*a)[1]),
-    ),
-    "verify-certificates": ("kslab.certificates.commutes", lambda f: lambda a, b: False),
-    "verify-fine-register": ("kslab.fine_model.ATOL_DIAGONAL", lambda v: -1.0),
-    "verify-fine-pullback": ("kslab.fine_model.ATOL_PULLBACK", lambda v: -1.0),
-}
-
-
-@contextlib.contextmanager
-def doctored(doctor: str | None):
-    """Apply the ``DOCTORS`` patch named ``doctor`` (none when None) for
-    the duration of the block."""
-    if doctor is None:
-        yield
-        return
-    target, spoil = DOCTORS[doctor]
-    module, _, name = target.rpartition(".")
-    with mock.patch(target, spoil(getattr(importlib.import_module(module), name))):
-        yield
-
-
 def _check(name: str, *argv: str) -> list[str]:
     return ["check", "--file", name, *argv]
 
@@ -147,6 +105,96 @@ def _dense(name: str, *argv: str) -> list[str]:
 
 def _violate(spec: str, *argv: str) -> list[str]:
     return ["violate", "--state", spec, *argv]
+
+
+def _suite(suite: str) -> list[str]:
+    return ["verify", "--suite", suite]
+
+
+# Routes that each fail their verification under one patch, by the name of
+# the patch: the case that pins the route, its argv, the dotted patch
+# target and a function from the target's original value to the doctored
+# one.  The two routes whose message prints a float residual run on
+# inputs where it is exact: the dense term sums of the Bell state, and the
+# fine suite's first model, whose family (+ZI, +IZ) is diagonal.
+DOCTORS: dict[str, tuple[str, list[str], str, Callable]] = {
+    "bound-bruteforce": (
+        "doctored_bound_formula", ["bound", "--n", "4", "--bruteforce"],
+        "kslab.inequalities.multipartite_bound", lambda f: lambda n: f(n) + 1,
+    ),
+    # at n = 13: a low-half code that is not the smallest of its word
+    # mask, and a high-half code that is
+    "bound-bruteforce-kernel": (
+        "doctored_bound_kernel", ["bound", "--n", "13", "--bruteforce"],
+        "kslab.hv_oracle._signed_products",
+        lambda f: edit_products(f, ((6, 1 << 6, 0, 1), (7, 16, 0, 1))),
+    ),
+    "bound-bruteforce-spectrum": (
+        "doctored_bound_spectrum", ["bound", "--n", "4", "--bruteforce"],
+        "kslab.hv_oracle._spectrum", lambda f: _raise_word_sum(f, 4, 0b0101),
+    ),
+    "violate-dense-multi": (
+        "doctored_violate_dense_multi", _dense("bell.txt", "--kind", "multi"),
+        "kslab.states.walsh_hadamard", lambda f: lambda d: f(d) + 1,
+    ),
+    "violate-werner": (
+        "doctored_violate_werner", _violate("werner:lambda=0.5"),
+        "kslab.states._pi_overlap", lambda f: lambda state: float("nan"),
+    ),
+    "group": (
+        "doctored_group", ["group", "--n", "3"],
+        "kslab.pauli.lambda_element",
+        lambda f: lambda idx: dataclasses.replace(f(idx), phase_exp=2) if idx.p == 5 else f(idx),
+    ),
+    "verify-identities-element": (
+        "doctored_identities_element", _suite("identities"),
+        "kslab.pauli._element",
+        lambda f: lambda *a: dataclasses.replace(f(*a), phase_exp=(f(*a).phase_exp + 1) % 4),
+    ),
+    "verify-identities-residual": (
+        "doctored_identities_residual", _suite("identities"),
+        "kslab.pauli._dense_residual", lambda f: lambda *a: 1.0,
+    ),
+    "verify-identities-residual-nan": (
+        "doctored_identities_residual_nan", _suite("identities"),
+        "kslab.pauli._dense_residual", lambda f: lambda *a: float("nan"),
+    ),
+    "verify-identities-residual-inf": (
+        "doctored_identities_residual_inf", _suite("identities"),
+        "kslab.pauli._dense_residual", lambda f: lambda *a: float("inf"),
+    ),
+    "verify-hvkn": (
+        "doctored_hvkn", _suite("hvkn"),
+        "kslab.hv_oracle._signed_products", lambda f: lambda *a: (f(*a)[0] + 1, f(*a)[1]),
+    ),
+    "verify-certificates": (
+        "doctored_certificates", _suite("certificates"),
+        "kslab.certificates.commutes", lambda f: lambda a, b: False,
+    ),
+    "verify-fine-register": (
+        "doctored_fine_register", _suite("fine"),
+        "kslab.fine_model.ATOL_DIAGONAL", lambda v: -1.0,
+    ),
+    "verify-fine-pullback": (
+        "doctored_fine_pullback", _suite("fine"),
+        "kslab.fine_model.ATOL_PULLBACK", lambda v: -1.0,
+    ),
+}
+# The case of each doctored route: the ``DOCTORS`` name it runs under.
+DOCTORED = {case: doctor for doctor, (case, *_) in DOCTORS.items()}
+
+
+@contextlib.contextmanager
+def doctored(doctor: str | None):
+    """Apply the ``DOCTORS`` patch named ``doctor`` (none when None) for
+    the duration of the block."""
+    if doctor is None:
+        yield
+        return
+    _, _, target, spoil = DOCTORS[doctor]
+    module, _, name = target.rpartition(".")
+    with mock.patch(target, spoil(getattr(importlib.import_module(module), name))):
+        yield
 
 
 CASES: dict[str, list[str]] = {
@@ -219,8 +267,7 @@ CASES: dict[str, list[str]] = {
     **{f"bound_{n}": ["bound", "--n", str(n), "--bruteforce"] for n in range(7, 15)},
     "bound_1023": ["bound", "--n", "1023"],
     **{
-        f"verify_{suite}": ["verify", "--suite", suite]
-        for suite in ("identities", "hvkn", "certificates", "fine")
+        f"verify_{suite}": _suite(suite) for suite in ("identities", "hvkn", "certificates", "fine")
     },
     "violate_ghz": _violate("ghz:n=5,alpha=0.6,beta=0.8"),
     "violate_ghz_two": _violate("ghz:n=2,alpha=0.6,beta=0.8", "--kind", "two"),
@@ -235,44 +282,8 @@ CASES: dict[str, list[str]] = {
     "scan_csv": ["scan", "--from", "2", "--to", "6"],
     "scan_json": ["scan", "--from", "2", "--to", "6", "--format", "json"],
     "module_violate_werner": [*MODULE, "violate", "--state", "werner:lambda=0.7"],
-    "doctored_bound_formula": ["bound", "--n", "4", "--bruteforce"],
-    "doctored_bound_kernel": ["bound", "--n", "13", "--bruteforce"],
-    "doctored_bound_spectrum": ["bound", "--n", "4", "--bruteforce"],
-    "doctored_violate_werner": _violate("werner:lambda=0.5"),
-    "doctored_violate_dense_multi": _dense("bell.txt", "--kind", "multi"),
-    "doctored_group": ["group", "--n", "3"],
-    "doctored_identities_element": ["verify", "--suite", "identities"],
-    "doctored_identities_residual": ["verify", "--suite", "identities"],
-    "doctored_identities_residual_nan": ["verify", "--suite", "identities"],
-    "doctored_identities_residual_inf": ["verify", "--suite", "identities"],
-    "doctored_hvkn": ["verify", "--suite", "hvkn"],
-    "doctored_certificates": ["verify", "--suite", "certificates"],
-    "doctored_fine_register": ["verify", "--suite", "fine"],
-    "doctored_fine_pullback": ["verify", "--suite", "fine"],
+    **{case: argv for case, argv, *_ in DOCTORS.values()},
 }
-
-# Invocations that run under a patch, by case: the ``DOCTORS`` name.  Every
-# route of ``DOCTORS`` is here.  The two whose message prints a float
-# residual are pinned on inputs where that residual is exact: the dense
-# term sums of the Bell state, and the fine suite's first model, whose
-# family (+ZI, +IZ) is diagonal.
-DOCTORED = {
-    "doctored_bound_formula": "bound-bruteforce",
-    "doctored_bound_kernel": "bound-bruteforce-kernel",
-    "doctored_bound_spectrum": "bound-bruteforce-spectrum",
-    "doctored_violate_werner": "violate-werner",
-    "doctored_violate_dense_multi": "violate-dense-multi",
-    "doctored_group": "group",
-    "doctored_identities_element": "verify-identities-element",
-    "doctored_identities_residual": "verify-identities-residual",
-    "doctored_identities_residual_nan": "verify-identities-residual-nan",
-    "doctored_identities_residual_inf": "verify-identities-residual-inf",
-    "doctored_hvkn": "verify-hvkn",
-    "doctored_certificates": "verify-certificates",
-    "doctored_fine_register": "verify-fine-register",
-    "doctored_fine_pullback": "verify-fine-pullback",
-}
-
 
 def prepare(directory: Path) -> None:
     """Put every input file of the corpus into ``directory``."""
@@ -298,9 +309,28 @@ def _run_module(argv: list[str]) -> tuple[int, str, str]:
     return child.returncode, child.stdout, child.stderr
 
 
+def _reject_constant(name: str):
+    """A ``parse_constant`` for ``json.loads`` that makes it strict."""
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _check_outcome(argv: list[str], code, stdout: str, stderr: str) -> None:
+    """Raise AssertionError unless the invocation ended by the outcome rule
+    (module docstring); stdout that is not strict JSON raises ValueError."""
+    lines = stderr.splitlines()
+    if stderr.startswith("usage:"):
+        # argparse's usage text, wrapped onto indented lines, precedes its error line
+        lines = list(itertools.dropwhile(lambda line: line.startswith(("usage:", " ")), lines))
+    if code not in (0, 1, 2) or len(lines) > 1:
+        raise AssertionError(f"{argv}: exit {code!r} with stderr {stderr!r}")
+    if stdout.startswith(("{", "[")):
+        json.loads(stdout, parse_constant=_reject_constant)
+
+
 def run(argv: list[str], doctor: str | None = None) -> dict:
     """Run one invocation in the current directory, under the named
-    ``DOCTORS`` patch if any, and record it."""
+    ``DOCTORS`` patch if any, check that it ends by the outcome rule, and
+    record it."""
     if argv[: len(MODULE)] == MODULE:
         code, stdout, stderr = _run_module(argv[len(MODULE) :])
     else:
@@ -311,6 +341,7 @@ def run(argv: list[str], doctor: str | None = None) -> dict:
             except SystemExit as exc:
                 code = exc.code
         stdout, stderr = out.getvalue(), err.getvalue()
+    _check_outcome(argv, code, stdout, stderr)
     record = {
         "argv": argv,
         "exit": code,

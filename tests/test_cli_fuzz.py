@@ -1,21 +1,19 @@
 """Generated correlator CSVs, dense-state files and state specs driven
 through ``kslab.cli.main``.
 
-Whatever the input, the command ends with exit 0, 1 or 2, no exception
-escapes ``main``, and anything printed to stdout is strict JSON.
+Every command runs through ``golden_corpus.run``, so whatever the input
+it must end by the corpus's outcome rule: exit 0, 1 or 2, no exception
+escaping ``main``, a JSON report on stdout in strict JSON (no NaN or
+Infinity), and at most one line on stderr.  When the parser refuses the
+arguments, its usage text is not counted, only its ``error:`` line.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
-
 import pytest
+from golden_corpus import run
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-
-from kslab.cli import main
 
 LETTERS = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 WORDS = st.one_of(
@@ -87,22 +85,6 @@ FUZZ = settings(
     max_examples=200,
     phases=[phase for phase in Phase if phase is not Phase.explain],
 )
-
-
-def _reject_constant(name: str):
-    raise ValueError(f"non-strict JSON constant {name}")
-
-
-def run(argv: list[str]) -> None:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
-    if out.getvalue():
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 @pytest.fixture(scope="module")

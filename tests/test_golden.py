@@ -3,7 +3,9 @@
 Each golden JSON value must appear unchanged in the report; keys the
 golden file lacks are allowed, so new report keys are additive.
 Non-JSON stdout, the exit code and the first stderr line compare
-exactly.  A file with a ``doctor`` field runs under that patch.
+exactly.  A file with a ``doctor`` field runs under that patch.  Every
+invocation runs through ``golden_corpus.run``, which checks the outcome
+rule.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from golden_corpus import CASES, DOCTORED, DOCTORS, GOLDEN, prepare, run
+from golden_corpus import CASES, GOLDEN, prepare, run
 
 FILES = sorted(GOLDEN.glob("*.json"))
 
@@ -40,10 +42,6 @@ def inputs(tmp_path_factory):
 
 def test_corpus_matches_the_cases():
     assert [path.stem for path in FILES] == sorted(CASES)
-
-
-def test_every_doctored_route_is_pinned():
-    assert set(DOCTORED.values()) == set(DOCTORS)
 
 
 @pytest.mark.parametrize("path", FILES, ids=[path.stem for path in FILES])
