@@ -133,6 +133,10 @@ DOCTORS: dict[str, tuple[str, list[str], str, Callable]] = {
         "doctored_bound_spectrum", ["bound", "--n", "4", "--bruteforce"],
         "kslab.hv_oracle._spectrum", lambda f: _raise_word_sum(f, 4, 0b0101),
     ),
+    "bound-bruteforce-witness": (
+        "doctored_bound_witness", ["bound", "--n", "4", "--bruteforce"],
+        "kslab.hv_oracle.g_value", lambda f: lambda a: f(a) + 1,
+    ),
     "violate-dense-multi": (
         "doctored_violate_dense_multi", _dense("bell.txt", "--kind", "multi"),
         "kslab.states.walsh_hadamard", lambda f: lambda d: f(d) + 1,
@@ -150,6 +154,12 @@ DOCTORS: dict[str, tuple[str, list[str], str, Callable]] = {
         "doctored_identities_element", _suite("identities"),
         "kslab.pauli._element",
         lambda f: lambda *a: dataclasses.replace(f(*a), phase_exp=(f(*a).phase_exp + 1) % 4),
+    ),
+    # drops every term without a z factor: +II is the first of z-even at n = 2
+    "verify-identities-expansion": (
+        "doctored_identities_expansion", _suite("identities"),
+        "kslab.pauli._projector_expansion",
+        lambda f: lambda *a: {key: c for key, c in f(*a).items() if key[0]},
     ),
     "verify-identities-residual": (
         "doctored_identities_residual", _suite("identities"),
@@ -170,6 +180,12 @@ DOCTORS: dict[str, tuple[str, list[str], str, Callable]] = {
     "verify-certificates": (
         "doctored_certificates", _suite("certificates"),
         "kslab.certificates.commutes", lambda f: lambda a, b: False,
+    ),
+    # flips an x bit of every product: the Peres-Mermin rows flip it twice
+    "verify-certificates-product": (
+        "doctored_certificates_product", _suite("certificates"),
+        "kslab.certificates.pauli_mul",
+        lambda f: lambda a, b: dataclasses.replace(f(a, b), x_mask=f(a, b).x_mask ^ 1),
     ),
     "verify-fine-register": (
         "doctored_fine_register", _suite("fine"),

@@ -428,6 +428,18 @@ class TestSumIdentities:
         assert report.first_mismatch == "z-even: dense residual nan"
         assert report.max_residual is None
 
+    def test_coefficient_mismatch_names_the_first_term(self, monkeypatch):
+        # both sides hold the same terms; every family coefficient is doubled
+        expansion = kslab.pauli._family_expansion
+        monkeypatch.setattr(
+            kslab.pauli,
+            "_family_expansion",
+            lambda words: {key: 2 * c for key, c in expansion(words).items()},
+        )
+        report = verify_sum_identities(2)
+        assert not report.ok
+        assert report.first_mismatch == "z-even: +II"
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_max_residual_keeps_the_largest_finite_one(self, monkeypatch, bad):
         residuals = iter([2e-13, 5e-13, bad])
