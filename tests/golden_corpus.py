@@ -9,8 +9,9 @@ by bare file name.  An argv that starts with ``python -m kslab.cli``
 runs as a child process of the current interpreter instead, to pin the
 module entry point.  ``elapsed`` is masked in stdout.
 
-``run`` is the one runner of the corpus and of the CLI fuzz tests, and
-every invocation it runs must end by the outcome rule, or it raises:
+``run`` is the one runner of the corpus and of the CLI fuzz tests.
+Every invocation it runs must end by the outcome rule, or it raises, so
+no golden file can pin a record that breaks it:
 
 - the exit code is 0, 1 or 2;
 - stdout that starts with ``{`` or ``[`` is strict JSON (no NaN or
@@ -18,18 +19,18 @@ every invocation it runs must end by the outcome rule, or it raises:
 - stderr holds at most one line.  When the parser refused argv, its
   usage text is not counted, only its ``...: error: ...`` line.
 
-To add a doctored route, one that must fail its verification (exit 2),
-add one entry to ``DOCTORS``: its case name, argv, the dotted patch
-target and the patch.  The entry makes the case, and its file records
-the patch in a ``doctor`` field.
-
-Regenerate every file with::
+To add a case, add its argv to ``CASES``.  To add a doctored route, one
+that must fail its verification (exit 2), add one entry to ``DOCTORS``:
+its case name, argv, the dotted patch target and the patch.  The entry
+makes the case, and its file records the patch in a ``doctor`` field.
+Then write the file of every case that has none with::
 
     PYTHONPATH=src python tests/golden_corpus.py
 
-A record that breaks the outcome rule raises, so it is never pinned.  A
-regenerated file whose values changed records a change of the CLI
-contract, not a fix.
+It rewrites and deletes no file.  When the fresh record of a case
+differs from its file, it keeps the file, names the case and exits 1.
+Such a difference records a change of the CLI contract, not a fix: to
+re-pin the case, delete its file by hand and run the command again.
 """
 
 from __future__ import annotations
@@ -369,20 +370,31 @@ def run(argv: list[str], doctor: str | None = None) -> dict:
     return record
 
 
-def regenerate() -> None:
-    for stale in GOLDEN.glob("*.json"):
-        stale.unlink()
+def regenerate() -> list[str]:
+    """Write the golden file of every case that has none, and return the
+    cases whose file differs from a fresh record.  No file is rewritten
+    or deleted."""
+    differ = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         prepare(Path(scratch))
         os.chdir(scratch)
         try:
             for name, argv in CASES.items():
-                record = json.dumps(run(argv, DOCTORED.get(name)), indent=2, ensure_ascii=False)
-                (GOLDEN / f"{name}.json").write_text(record + "\n", encoding="utf-8")
+                record = run(argv, DOCTORED.get(name))
+                path = GOLDEN / f"{name}.json"
+                if not path.exists():
+                    text = json.dumps(record, indent=2, ensure_ascii=False)
+                    path.write_text(text + "\n", encoding="utf-8")
+                elif json.loads(path.read_text(encoding="utf-8")) != record:
+                    differ.append(name)
         finally:
             os.chdir(home)
+    return differ
 
 
 if __name__ == "__main__":
-    regenerate()
+    changed = regenerate()
+    for name in changed:
+        print(f"{name}: differs from its golden file, which is kept", file=sys.stderr)
+    sys.exit(1 if changed else 0)

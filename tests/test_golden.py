@@ -11,7 +11,9 @@ rule.
 from __future__ import annotations
 
 import json
+import shutil
 
+import golden_corpus
 import pytest
 from golden_corpus import CASES, GOLDEN, prepare, run
 
@@ -42,6 +44,21 @@ def inputs(tmp_path_factory):
 
 def test_corpus_matches_the_cases():
     assert [path.stem for path in FILES] == sorted(CASES)
+
+
+def test_regenerate_writes_missing_files_and_keeps_differing_ones(tmp_path, monkeypatch):
+    cases = {name: CASES[name] for name in ("group_3", "violate_werner")}
+    for name in cases:
+        shutil.copy(GOLDEN / f"{name}.json", tmp_path)
+    (tmp_path / "group_3.json").unlink()
+    tampered = tmp_path / "violate_werner.json"
+    text = tampered.read_text(encoding="utf-8").replace('"exit": 0', '"exit": 1')
+    tampered.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(golden_corpus, "GOLDEN", tmp_path)
+    monkeypatch.setattr(golden_corpus, "CASES", cases)
+    assert golden_corpus.regenerate() == ["violate_werner"]
+    assert (tmp_path / "group_3.json").read_bytes() == (GOLDEN / "group_3.json").read_bytes()
+    assert tampered.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("path", FILES, ids=[path.stem for path in FILES])
