@@ -168,6 +168,10 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="names"):
             build_model(pi_state(), [word("+ZI"), word("+IZ")], names=("A", "A"))
 
+    def test_rejects_non_square_operator(self):
+        with pytest.raises(ValueError, match="^operators must be square matrices$"):
+            build_model(maximally_mixed(1), [np.zeros((2, 3))])
+
     def test_rejects_non_finite_entries(self):
         # inf - inf used to pass the Hermitian and commutation checks
         for bad in (np.inf, np.nan):

@@ -20,6 +20,7 @@ from oracle import Y, Z, closure_break_reference, dense, oracle_matrix, random_w
 
 import kslab.pauli
 from kslab.pauli import (
+    DENSE_STATE_LIMIT,
     LambdaIndex,
     PauliString,
     closure_break,
@@ -473,3 +474,10 @@ def test_constructor_validation():
         pauli_mul(PauliString.identity(2), PauliString.identity(3))
     with pytest.raises(ValueError):
         commutes(PauliString.identity(2), PauliString.identity(3))
+
+
+def test_index_and_dense_form_limits():
+    with pytest.raises(ValueError, match="index 4 out of range for n=2"):
+        LambdaIndex(2, 4)
+    with pytest.raises(ValueError, match="dense form limited"):
+        PauliString.identity(DENSE_STATE_LIMIT + 1).to_matrix()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oracle import (
 import kslab.states
 from kslab.errors import VerificationError
 from kslab.pauli import (
+    DENSE_STATE_LIMIT,
     LINE_LIMIT,
     SITE_LIMIT,
     LambdaIndex,
@@ -38,6 +40,7 @@ from kslab.states import (
     GhzSuperposition,
     ProductState,
     WernerState,
+    _check_density,
     _pi_overlap,
     bell_fidelity,
     expectation,
@@ -368,6 +371,32 @@ class TestValidation:
         rho = np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]).astype(complex)
         with pytest.raises(ValueError, match="^density matrix trace is not 1$"):
             DenseState(rho)
+
+    def test_dense_rejects_non_square_and_oversized_matrices(self):
+        with pytest.raises(ValueError, match="must be square"):
+            DenseState(np.zeros((2, 3)))
+        # never written, so its pages are never touched
+        dim = 2 << DENSE_STATE_LIMIT
+        with pytest.raises(ValueError, match="dense states limited"):
+            _check_density(np.empty((dim, dim), complex))
+
+    def test_product_rejects_two_component_vector(self):
+        with pytest.raises(ValueError, match="three components"):
+            ProductState(((0.0, 0.0),))
+
+    def test_dense_form_of_a_product_is_limited(self):
+        state = ProductState.from_pattern("+" * (DENSE_STATE_LIMIT + 1))
+        with pytest.raises(ValueError, match="dense form limited"):
+            to_density_matrix(state)
+
+    @pytest.mark.parametrize(
+        "route",
+        [f_value, to_density_matrix, lambda state: expectation(state, PauliString.identity(2))],
+        ids=["f_value", "to_density_matrix", "expectation"],
+    )
+    def test_rejects_what_is_not_a_state_model(self, route):
+        with pytest.raises(TypeError, match="not a state model: SimpleNamespace"):
+            route(SimpleNamespace(n=2))
 
     def test_product_rejects_long_bloch(self):
         with pytest.raises(ValueError):
