@@ -167,8 +167,6 @@ class TestBuildModel:
             build_model(pi_state(), [word("+ZI"), word("+IZ")], names=("A",))
         with pytest.raises(ValueError, match="names"):
             build_model(pi_state(), [word("+ZI"), word("+IZ")], names=("A", "A"))
-
-    def test_rejects_non_square_operator(self):
         with pytest.raises(ValueError, match="^operators must be square matrices$"):
             build_model(maximally_mixed(1), [np.zeros((2, 3))])
 

@@ -474,9 +474,6 @@ def test_constructor_validation():
         pauli_mul(PauliString.identity(2), PauliString.identity(3))
     with pytest.raises(ValueError):
         commutes(PauliString.identity(2), PauliString.identity(3))
-
-
-def test_index_and_dense_form_limits():
     with pytest.raises(ValueError, match="index 4 out of range for n=2"):
         LambdaIndex(2, 4)
     with pytest.raises(ValueError, match="dense form limited"):

@@ -345,6 +345,12 @@ class TestValidation:
         flipped = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             DenseState(flipped)  # negative eigenvalue
+        with pytest.raises(ValueError, match="must be square"):
+            DenseState(np.zeros((2, 3)))
+        # never written, so its pages are never touched
+        dim = 2 << DENSE_STATE_LIMIT
+        with pytest.raises(ValueError, match="dense states limited"):
+            _check_density(np.empty((dim, dim), complex))
 
     def test_dense_state_keeps_its_own_copy(self):
         rho = np.eye(4, dtype=complex) / 4
@@ -372,18 +378,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="^density matrix trace is not 1$"):
             DenseState(rho)
 
-    def test_dense_rejects_non_square_and_oversized_matrices(self):
-        with pytest.raises(ValueError, match="must be square"):
-            DenseState(np.zeros((2, 3)))
-        # never written, so its pages are never touched
-        dim = 2 << DENSE_STATE_LIMIT
-        with pytest.raises(ValueError, match="dense states limited"):
-            _check_density(np.empty((dim, dim), complex))
-
-    def test_product_rejects_two_component_vector(self):
-        with pytest.raises(ValueError, match="three components"):
-            ProductState(((0.0, 0.0),))
-
     def test_dense_form_of_a_product_is_limited(self):
         state = ProductState.from_pattern("+" * (DENSE_STATE_LIMIT + 1))
         with pytest.raises(ValueError, match="dense form limited"):
@@ -405,6 +399,8 @@ class TestValidation:
             ProductState(())
         with pytest.raises(ValueError):
             ProductState.from_pattern("+0-")
+        with pytest.raises(ValueError, match="three components"):
+            ProductState(((0.0, 0.0),))
 
     def test_ghz_normalization(self):
         with pytest.raises(ValueError):
