@@ -12,7 +12,7 @@ Run it from anywhere with::
 
     python tests/uncovered.py
 
-The traced suite takes about three times as long as the plain one.
+The traced suite takes about twice as long as the plain one.
 """
 
 from __future__ import annotations
