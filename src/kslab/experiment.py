@@ -15,7 +15,7 @@ from typing import IO, Callable, Iterator
 
 from .errors import line_fault
 from .inequalities import SIGNIFICANCE_K, InequalityReport
-from .pauli import LINE_LIMIT, SITE_LIMIT, LambdaIndex, PauliString, lambda_element
+from .pauli import LINE_LIMIT, SITE_LIMIT, LambdaIndex, lambda_element, parse_word
 
 KINDS = ("two-partite", "multipartite")
 
@@ -71,8 +71,8 @@ def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
                 raise ValueError(f"expected 3 fields, got {len(row)}")
             word, value, sigma = (field.strip() for field in row)
             value, sigma = float(value), float(sigma)
-            parsed = PauliString.from_text(word)
-            if not parsed.is_hermitian:
+            sign_exp, letters = parse_word(word)
+            if sign_exp % 2:  # an i in the prefix: anti-Hermitian
                 raise ValueError(f"word {word!r} is not an observable")
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value for {word!r}")
@@ -80,10 +80,9 @@ def _read_correlators(fh: IO[str]) -> dict[str, tuple[float, float]]:
                 raise ValueError(f"bad standard error for {word!r}: {sigma}")
             if abs(value) > 1 + 3 * sigma:
                 raise ValueError(f"value {value} for {word!r} exceeds |1| + 3*sigma")
-            letters = word.lstrip("+-i")  # equal to parsed.letters
             if letters in table:
                 raise ValueError(f"duplicate word {word!r}")
-            table[letters] = (-value if parsed.sign_exp else value, sigma)
+            table[letters] = (-value if sign_exp else value, sigma)
     except UnicodeDecodeError as exc:  # from a strict caller stream
         raise ValueError(f"byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     except (csv.Error, ValueError) as exc:

@@ -59,6 +59,18 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 _X_BITS = str.maketrans("IXYZ", "0110")
 
 
+def parse_word(text: str) -> tuple[int, str]:
+    """The text form of a Pauli word, such as ``-YY`` or ``+iXZ``, as
+    (exponent of i in its prefix, letters), without building the word:
+    ``-YY`` is (2, "YY").  The one parser of Pauli text; surrounding
+    whitespace is ignored."""
+    match = _WORD_RE.match(text.strip())
+    if match is None:
+        raise ValueError(f"not a Pauli word: {text!r}")
+    prefix, letters = match.groups()
+    return _PREFIX_EXP[prefix], letters
+
+
 @lru_cache(maxsize=None)
 def _site_matrix() -> dict[tuple[int, int], np.ndarray]:
     """Single-site factors in the (z, x) encoding; (1, 1) is sigma_z sigma_x."""
@@ -101,16 +113,12 @@ class PauliString:
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
         """Parse a word like ``-YY`` or ``+XZIX`` (optionally ``+i``/``-i``)."""
-        match = _WORD_RE.match(text.strip())
-        if match is None:
-            raise ValueError(f"not a Pauli word: {text!r}")
-        prefix, letters = match.groups()
+        sign_exp, letters = parse_word(text)
         # site 0 is bit 0, so the binary numeral reads the letters backwards
         z = int(letters[::-1].translate(_Z_BITS), 2)
         x = int(letters[::-1].translate(_X_BITS), 2)
         overlap = (z & x).bit_count()
-        phase = (_PREFIX_EXP[prefix] - overlap) % 4
-        return cls(len(letters), z, x, phase)
+        return cls(len(letters), z, x, (sign_exp - overlap) % 4)
 
     @property
     def letters(self) -> str:

@@ -72,22 +72,23 @@ def _shifted_factor_is_finite(rho: np.ndarray) -> bool:
     L is built left-looking, one panel of ``_BAND`` columns at a time:
     the panel's columns of rho (lower triangle only), the shift on its
     diagonal, less one product per earlier panel; its top block is
-    factored and the rows below are solved against that factor.  Only
-    the panels are kept, about half the matrix, and rho is not written.
-    A pivot that is not positive raises in the factorization; one that
-    is NaN (an entry that overflowed) passes through it and is caught by
-    the finiteness test.
+    factored and the rows below are solved against that factor.  A panel
+    starting at row s reads only rows s.. of the earlier panels, so once
+    it is done every earlier panel drops the rows that no later panel
+    reads: at most (dim - s) * s entries of L are kept, a quarter of the
+    matrix at s = dim/2, and rho is not written.  A pivot that is not
+    positive raises in the factorization; one that is NaN (an entry that
+    overflowed) passes through it and is caught by the finiteness test.
     """
     import numpy as np
 
     dim = rho.shape[0]
-    panels: list[np.ndarray] = []  # panels[k]: rows k*_BAND.. of L's panel k
+    done: list[np.ndarray] = []  # rows s.. of each earlier panel of L
     for s in range(0, dim, _BAND):
         width = min(_BAND, dim - s)
         panel = rho[s:, s : s + width].copy()
         panel[range(width), range(width)] += ATOL_SCALAR
-        for k, done in enumerate(panels):
-            rows = done[s - k * _BAND :]
+        for rows in done:
             panel -= rows @ rows[:width].conj().T
         try:
             top = np.linalg.cholesky(panel[:width])
@@ -97,8 +98,9 @@ def _shifted_factor_is_finite(rho: np.ndarray) -> bool:
             return False
         if not (np.isfinite(top).all() and np.isfinite(below).all()):
             return False
-        panel[:width], panel[width:] = top, below
-        panels.append(panel)
+        for k, rows in enumerate(done):  # one copy at a time: a panel's worth of slack
+            done[k] = rows[width:].copy()
+        done.append(below)
     return True
 
 
@@ -110,7 +112,8 @@ class DenseState:
     positivity checks run in that order; the first to fail raises
     ``ValueError``.  Positivity means that rho + ATOL_SCALAR*I has a
     finite Cholesky factor, so an eigenvalue down to -ATOL_SCALAR is
-    accepted; the factor takes about half the matrix's memory.  The
+    accepted; the live part of the factor takes at most a quarter of
+    the matrix's memory, plus one panel.  The
     state holds its own copy of the matrix, so a caller that later
     changes its array leaves the state unchanged.
     """
@@ -452,7 +455,10 @@ def read_dense_state(path: str) -> DenseState:
     per entry after it, and a longer one is an error naming its line.
     Each row is checked as it is read: a malformed row is reported by
     row (and entry) before the row count is compared, and rows past the
-    2^n-th are counted but not parsed.  The state adopts the filled
+    2^n-th are counted but not parsed.  A row as ``write_dense_state``
+    writes it is parsed by numpy in one call, and any other row entry by
+    entry (``_read_row``); both accept the same rows, with the same bits
+    and messages.  The state adopts the filled
     buffer instead of copying it.  The file is read as UTF-8 after an
     optional byte-order mark, and a byte that does not decode is an
     error naming its line.  Each line is judged by ``line_fault`` as it
@@ -497,27 +503,51 @@ def read_dense_state(path: str) -> DenseState:
     return DenseState._adopt(buf.view(complex))
 
 
+# Every ASCII byte but the separators: deleted from a row, they leave its
+# separator sequence, ", , ... ," for a row that ``_read_row`` hands to numpy.
+_NOT_SEPARATORS = bytes(c for c in range(ord(" ") + 1, 128) if c != ord(","))
+
+
 def _read_row(path: str, i: int, line: str, out: np.ndarray) -> None:
     """Parse matrix row i into ``out`` as re, im, re, im, ...
 
-    A row of 2^n tokens holding 2^n commas, each token at least one, has
-    exactly one comma per token; numpy then parses all of its numbers in
-    one call, accepting what ``float`` accepts.  Any other row, or a
-    failed parse, takes the per-entry loop, which names the bad entry.
+    An ASCII row whose separators are exactly "," and " " in turn, 2^n
+    commas in all, and which holds no other byte up to the space, is
+    one ``np.loadtxt`` call: its tokens are the row's re and im parts,
+    which numpy parses in C.  A row with other whitespace (tabs,
+    repeated spaces, form feeds, ...) is first rejoined with single
+    spaces, which leaves its entries as they were.  numpy accepts a
+    subset of what ``float`` accepts, with the same bits; ``1_0`` and
+    non-ASCII digits are not in it.  Every other row, a parse numpy
+    refuses and a parse of the wrong shape take ``_read_entries``, which
+    accepts what ``float`` accepts and names the first bad entry.
     """
     import numpy as np
 
     dim = out.shape[0] // 2
+    if line.isascii():
+        separators = b", " * (dim - 1) + b","
+        found = line.encode().translate(None, _NOT_SEPARATORS)
+        if found != separators:
+            line = " ".join(line.split())
+            found = line.encode().translate(None, _NOT_SEPARATORS)
+        if found == separators:
+            try:
+                values = np.loadtxt([line.replace(" ", ",")], delimiter=",", comments=None)
+            except ValueError:
+                pass
+            else:
+                if values.shape == out.shape:
+                    out[:] = values
+                    return
+    _read_entries(path, i, line, out)
+
+
+def _read_entries(path: str, i: int, line: str, out: np.ndarray) -> None:
+    """Parse matrix row i into ``out`` one entry at a time with ``float``,
+    naming the first entry that is not a numeric re,im pair."""
+    dim = out.shape[0] // 2
     pairs = line.split()
-    if len(pairs) == dim and line.count(",") == dim and all("," in pair for pair in pairs):
-        try:
-            values = np.array(line.replace(",", " ").split(), dtype=float)
-        except ValueError:
-            pass
-        else:
-            if values.shape == out.shape:  # an empty re or im part drops a number
-                out[:] = values
-                return
     if len(pairs) != dim:
         raise ValueError(f"{path}: row {i} has {len(pairs)} entries, expected {dim}")
     for j, pair in enumerate(pairs):

@@ -310,18 +310,23 @@ def prepare(directory: Path) -> None:
         (directory / name).write_text(text, encoding="utf-8")
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that must import this kslab,
+    installed or not."""
+    root = str(Path(kslab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
+
+
 def _run_module(argv: list[str]) -> tuple[int, str, str]:
     """Run ``python -m kslab.cli`` on argv in a child of this interpreter
     that imports this kslab, installed or not."""
-    root = str(Path(kslab.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
     child = subprocess.run(
         [sys.executable, "-m", "kslab.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=child_env(),
     )
     return child.returncode, child.stdout, child.stderr
 

@@ -14,6 +14,9 @@ replace.  ``read_dense_reference`` is the whole-file, entry-by-entry
 dense-state parser that the streamed ``read_dense_state`` replaces.
 ``positive_semidefinite_reference`` is the eigenvalue verdict that the
 shifted Cholesky factor of ``DenseState``'s positivity check replaces.
+``ingest_correlators_reference`` is the whole-text correlator reader that
+builds a ``PauliString`` per row to check its word, which the reader's
+``parse_word`` check replaces.
 ``closure_break_reference`` is the scalar double loop over ``pauli_mul``,
 every row of the table, that the single-bit-row scan of ``closure_break``
 replaces.  ``bruteforce_reference`` is the code-order block loop, every
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -252,6 +256,42 @@ def read_dense_reference(path: str) -> DenseState:
             except ValueError:
                 raise ValueError(f"{path}: row {i} entry {j} is not numeric") from None
     return DenseState(rows)
+
+
+def ingest_correlators_reference(text: str) -> dict[str, tuple[float, float]]:
+    """The ``ingest_correlators`` table of a CSV text, each row's word
+    checked by building its ``PauliString``; a bad row raises ValueError
+    naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    table: dict[str, tuple[float, float]] = {}
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty correlator file")
+        if [h.strip().lower() for h in header] != ["word", "value", "sigma"]:
+            raise ValueError(f"expected header word,value,sigma, got {header!r}")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise ValueError(f"expected 3 fields, got {len(row)}")
+            word, value, sigma = (field.strip() for field in row)
+            value, sigma = float(value), float(sigma)
+            parsed = PauliString.from_text(word)
+            if not parsed.is_hermitian:
+                raise ValueError(f"word {word!r} is not an observable")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value for {word!r}")
+            if sigma < 0 or not math.isfinite(sigma):
+                raise ValueError(f"bad standard error for {word!r}: {sigma}")
+            if abs(value) > 1 + 3 * sigma:
+                raise ValueError(f"value {value} for {word!r} exceeds |1| + 3*sigma")
+            if parsed.letters in table:
+                raise ValueError(f"duplicate word {word!r}")
+            table[parsed.letters] = (-value if parsed.sign_exp else value, sigma)
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
+    return table
 
 
 def positive_semidefinite_reference(rho: np.ndarray) -> bool:

@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import ingest_correlators_reference
 
 import kslab.experiment
 from kslab.experiment import evaluate_experiment, ingest_correlators, required_words
-from kslab.pauli import LINE_LIMIT, PauliString
+from kslab.pauli import LINE_LIMIT, PauliString, parse_word
 
 
 def csv_of(rows: list[str]) -> io.StringIO:
@@ -147,16 +148,40 @@ class TestIngestion:
 
     def test_each_row_is_parsed_once(self, monkeypatch):
         calls = []
-        parse = PauliString.from_text.__func__
 
-        def counting(cls, text):
+        def counting(text):
             calls.append(text)
-            return parse(cls, text)
+            return parse_word(text)
 
-        monkeypatch.setattr(PauliString, "from_text", classmethod(counting))
+        monkeypatch.setattr(kslab.experiment, "parse_word", counting)
+        monkeypatch.setattr(PauliString, "from_text", None)  # no word is built
         table = ingest_correlators(csv_of(["-ZZ,0.25,0", "", "XX,0.5,0", "YY,0.5,0"]))
         assert table["ZZ"] == (-0.25, 0.0)
         assert calls == ["-ZZ", "XX", "YY"]
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["", "+", "-", "i", "+i", "-i", "--", "i-"]),
+                st.text(alphabet="IXYZxyz ", max_size=3),
+                st.sampled_from(["0.5", "-0.25", "1.2", "nan"]),
+            ).map(lambda r: f"{r[0]}{r[1]},{r[2]},0.02"),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300)
+    def test_rows_match_the_pauli_string_reference(self, rows):
+        # signs, phases, lowercase letters, inner spaces and empty words
+        text = csv_of(rows).getvalue()
+        try:
+            expected = ingest_correlators_reference(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                ingest_correlators(io.StringIO(text))
+            assert str(info.value) == str(exc)
+        else:
+            assert list(ingest_correlators(io.StringIO(text)).items()) == list(expected.items())
 
     def test_blank_lines_are_skipped(self):
         text = "word,value,sigma\n\nZZ,0.25,0\n\n"

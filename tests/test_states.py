@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import itertools
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -483,6 +484,43 @@ class TestValidation:
             else:
                 assert expected, scale
 
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_positivity_near_a_panel_boundary(self, n):
+        # the least eigenvector lives on a few rows on both sides of a panel
+        # boundary and on the last row, so a row of L that the trimmed
+        # factor dropped too early or misaligned changes the verdict
+        rng = np.random.default_rng(3000 + n)
+        dim = 1 << n
+        rows = [dim // 2 - 2, dim // 2 - 1, dim // 2, dim // 2 + 1, dim - 1]
+        for scale in (0.9, 1.1):
+            g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            basis = np.linalg.qr(g)[0]
+            least = -scale * ATOL_SCALAR
+            spectrum = rng.random(dim)
+            spectrum[rows[0]] = 0
+            spectrum *= (1 - least) / spectrum.sum()
+            spectrum[rows[0]] = least
+            rho = np.diag(spectrum).astype(complex)
+            rho[np.ix_(rows, rows)] = (basis * spectrum[rows]) @ basis.conj().T
+            expected = positive_semidefinite_reference(rho)
+            assert expected == (scale < 1)
+            assert kslab.states._shifted_factor_is_finite(rho) == expected, scale
+
+    def test_positivity_factor_keeps_a_quarter_of_the_matrix(self):
+        # at most (dim - s) * s entries of L are live, a quarter of rho at
+        # s = dim/2, plus a panel and its update
+        rng = np.random.default_rng(11)
+        dim = 1 << DENSE_STATE_LIMIT
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T / dim
+        tracemalloc.start()
+        try:
+            assert kslab.states._shifted_factor_is_finite(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.375 * rho.nbytes
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError):
@@ -576,6 +614,19 @@ def dense_file(tmp_path, rows: list[str], header: str = "1") -> str:
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_reads_like_reference(path: str) -> None:
+    """``read_dense_state`` gives the reference's matrix, bit for bit, or
+    its message."""
+    try:
+        expected = read_dense_reference(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_dense_state(path)
+        assert str(info.value) == str(exc)
+    else:
+        assert same_bits(read_dense_state(path).rho, expected.rho)
 
 
 class TestDenseReader:
@@ -710,25 +761,69 @@ class TestDenseReader:
     @given(
         rows=st.lists(
             st.lists(
-                st.sampled_from(
-                    ["0.5,0", "0,0", "0,1e-300", "1_0,0", "-0,-0", "1,2,3", ",0", "1,",
-                     "0x10,0", "1;0", "inf,0", "1e400,0", "0.5", "a,b", ","]
+                st.tuples(
+                    st.sampled_from(
+                        ["0.5,0", "0,0", "0,1e-300", "1_0,0", "-0,-0", "1,2,3", ",0", "1,",
+                         "0x10,0", "1;0", "inf,0", "1e400,0", "0.5", "a,b", ",", "nan(1),0",
+                         "0,\uff11", "#,0", '"1",0', "+inf,0", "0.5,+0"]
+                    ),
+                    st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", " \t"]),
                 ),
                 min_size=1,
                 max_size=3,
-            ).map(" ".join),
+            ).map(lambda pairs: "".join(sep + entry for entry, sep in pairs)),
             min_size=2,
             max_size=2,
         )
     )
-    @settings(deadline=None, max_examples=150)
+    @settings(deadline=None, max_examples=300)
     def test_generated_rows_match_reference(self, tmp_path_factory, rows):
-        path = dense_file(tmp_path_factory.mktemp("rows"), rows)
-        try:
-            expected = read_dense_reference(path)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                read_dense_state(path)
-            assert str(info.value) == str(exc)
-        else:
-            assert same_bits(read_dense_state(path).rho, expected.rho)
+        # whitespace separators of every kind, and tokens that float and
+        # numpy treat differently, against the entry-by-entry reference
+        assert_reads_like_reference(dense_file(tmp_path_factory.mktemp("rows"), rows))
+
+    @staticmethod
+    def rows_read_by_entry(monkeypatch) -> list[int]:
+        """The row numbers that ``_read_entries`` is called on, from now."""
+        rows, read_entries = [], kslab.states._read_entries
+
+        def counting(path, i, line, out):
+            rows.append(i)
+            read_entries(path, i, line, out)
+
+        monkeypatch.setattr(kslab.states, "_read_entries", counting)
+        return rows
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_written_rows_are_parsed_by_numpy(self, tmp_path, monkeypatch, n):
+        path = str(tmp_path / "state.txt")
+        state = random_density(n, np.random.default_rng(300 + n))
+        write_dense_state(path, state)
+        by_entry = self.rows_read_by_entry(monkeypatch)
+        assert same_bits(read_dense_state(path).rho, state.rho)
+        assert by_entry == []
+
+    @pytest.mark.parametrize(
+        "row, by_entry",
+        [
+            ("0,0 0.5,0", False),
+            ("0,0\t\x0c 0.5,0", False),  # other whitespace: rejoined with single spaces
+            ("0,0 0.5_0,0", True),  # numpy refuses the underscore
+            ("0,0 \uff10.\uff15,0", True),  # not ASCII: full-width digits
+            ("0,0,0 0.5", True),  # commas and spaces do not alternate
+        ],
+    )
+    def test_which_rows_numpy_parses(self, tmp_path, monkeypatch, row, by_entry):
+        rows = self.rows_read_by_entry(monkeypatch)
+        assert_reads_like_reference(dense_file(tmp_path, ["0.5,0 0,0", row]))
+        assert rows == ([1] if by_entry else [])
+
+    def test_parse_of_the_wrong_shape_is_read_by_entry(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "state.txt")
+        state = random_density(2, np.random.default_rng(12))
+        write_dense_state(path, state)
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[1:])
+        rows = self.rows_read_by_entry(monkeypatch)
+        assert same_bits(read_dense_state(path).rho, state.rho)
+        assert rows == [0, 1, 2, 3]
