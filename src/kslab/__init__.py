@@ -80,7 +80,6 @@ _EXPORTS = {
         "bell_fidelity",
         "expectation",
         "f_value",
-        "maximally_mixed",
         "parse_state_spec",
         "pi_vector",
         "random_density",

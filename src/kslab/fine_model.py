@@ -149,12 +149,8 @@ class FiniteHVModel:
         return np.flatnonzero(self.weights > SUPPORT_ATOL)
 
     def fresh_name(self, base: str) -> str:
-        if base not in self.value_table:
-            return base
-        for k in itertools.count(2):
-            if f"{base}~{k}" not in self.value_table:
-                return f"{base}~{k}"
-        raise AssertionError("unreachable")
+        names = itertools.chain([base], (f"{base}~{k}" for k in itertools.count(2)))
+        return next(name for name in names if name not in self.value_table)
 
     def register(self, name: str, operator: Operator) -> np.ndarray:
         """Add an operator that is diagonal in the model basis; returns its

@@ -125,8 +125,8 @@ def scan(n_min: int, n_max: int) -> list[tuple[str, InequalityReport]]:
     state, one labeled row each per n."""
     from .states import GhzSuperposition, ProductState
 
-    if not 2 <= n_min <= n_max:
-        raise ValueError("need 2 <= n_min <= n_max")
+    if not 2 <= n_min <= n_max <= SITE_LIMIT:
+        raise ValueError(f"scan needs 2 <= n_min <= n_max <= {SITE_LIMIT}")
     rows: list[tuple[str, InequalityReport]] = []
     for n in range(n_min, n_max + 1):
         ghz = GhzSuperposition(n, _SQRT_HALF, _SQRT_HALF)

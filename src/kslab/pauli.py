@@ -107,10 +107,6 @@ class PauliString:
             raise ValueError(f"phase exponent must be in 0..3, got {self.phase_exp}")
 
     @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0, 0)
-
-    @classmethod
     def from_text(cls, text: str) -> "PauliString":
         """Parse a word like ``-YY`` or ``+XZIX`` (optionally ``+i``/``-i``)."""
         sign_exp, letters = parse_word(text)
@@ -136,9 +132,6 @@ class PauliString:
 
     def to_text(self) -> str:
         return _SIGN_PREFIX[self.sign_exp] + self.letters
-
-    def __str__(self) -> str:
-        return self.to_text()
 
     @property
     def is_hermitian(self) -> bool:

@@ -247,13 +247,6 @@ def pi_vector() -> np.ndarray:
     return np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 
 
-def maximally_mixed(n: int) -> DenseState:
-    import numpy as np
-
-    dim = 1 << n
-    return DenseState(np.eye(dim, dtype=complex) / dim)
-
-
 def random_density(n: int, rng: np.random.Generator) -> DenseState:
     """Ginibre-sampled density matrix."""
     import numpy as np

@@ -1,6 +1,7 @@
 """The golden CLI corpus: invocations whose argv, exit code, stdout and
-first stderr line are pinned, one JSON file per invocation, in
-``tests/golden/``.
+first stderr line (after the parser's usage text, whose wrapping
+follows the terminal's width) are pinned, one JSON file per invocation,
+in ``tests/golden/``.
 
 Every invocation runs in process through ``kslab.cli.main``, in a
 directory that holds the committed files of ``tests/golden/inputs/``
@@ -9,7 +10,9 @@ by bare file name.  An argv that starts with ``python -m kslab.cli``
 runs as a child process of the current interpreter instead, to pin the
 module entry point.  ``elapsed`` is masked in stdout.
 
-``run`` is the one runner of the corpus and of the CLI fuzz tests.
+``run`` is the one runner of the corpus and of the CLI fuzz tests, and
+``record_cases`` runs every case through it, for ``regenerate`` and for
+the reach gate of ``test_reach.py``.
 Every invocation it runs must end by the outcome rule, or it raises, so
 no golden file can pin a record that breaks it:
 
@@ -283,6 +286,7 @@ CASES: dict[str, list[str]] = {
     "bound_workers_0": ["bound", "--n", "4", "--bruteforce", "--workers", "0"],
     **{f"bound_{n}": ["bound", "--n", str(n), "--bruteforce"] for n in range(7, 15)},
     "bound_1023": ["bound", "--n", "1023"],
+    "bound_n_not_an_integer": ["bound", "--n", "x"],
     **{
         f"verify_{suite}": _suite(suite) for suite in ("identities", "hvkn", "certificates", "fine")
     },
@@ -298,6 +302,7 @@ CASES: dict[str, list[str]] = {
     "group_3": ["group", "--n", "3"],
     "scan_csv": ["scan", "--from", "2", "--to", "6"],
     "scan_json": ["scan", "--from", "2", "--to", "6", "--format", "json"],
+    "scan_above_limit": ["scan", "--from", "2", "--to", "5000"],
     "module_violate_werner": [*MODULE, "violate", "--state", "werner:lambda=0.7"],
     **{case: argv for case, argv, *_ in DOCTORS.values()},
 }
@@ -336,9 +341,10 @@ def _reject_constant(name: str):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-def _check_outcome(argv: list[str], code, stdout: str, stderr: str) -> None:
+def _check_outcome(argv: list[str], code, stdout: str, stderr: str) -> list[str]:
     """Raise AssertionError unless the invocation ended by the outcome rule
-    (module docstring); stdout that is not strict JSON raises ValueError."""
+    (module docstring); stdout that is not strict JSON raises ValueError.
+    Return the stderr lines that the rule counts."""
     lines = stderr.splitlines()
     if stderr.startswith("usage:"):
         # argparse's usage text, wrapped onto indented lines, precedes its error line
@@ -347,6 +353,7 @@ def _check_outcome(argv: list[str], code, stdout: str, stderr: str) -> None:
         raise AssertionError(f"{argv}: exit {code!r} with stderr {stderr!r}")
     if stdout.startswith(("{", "[")):
         json.loads(stdout, parse_constant=_reject_constant)
+    return lines
 
 
 def run(argv: list[str], doctor: str | None = None) -> dict:
@@ -363,16 +370,29 @@ def run(argv: list[str], doctor: str | None = None) -> dict:
             except SystemExit as exc:
                 code = exc.code
         stdout, stderr = out.getvalue(), err.getvalue()
-    _check_outcome(argv, code, stdout, stderr)
+    lines = _check_outcome(argv, code, stdout, stderr)
     record = {
         "argv": argv,
         "exit": code,
         "stdout": re.sub(r'("elapsed": )[^,\n]+', r'\1"*"', stdout),
-        "stderr": stderr.partition("\n")[0],
+        "stderr": lines[0] if lines else "",
     }
     if doctor is not None:
         record["doctor"] = doctor
     return record
+
+
+def record_cases() -> dict[str, dict]:
+    """Run every case of ``CASES`` in a fresh directory that holds the
+    corpus inputs, and return its record by case name."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        prepare(Path(scratch))
+        os.chdir(scratch)
+        try:
+            return {name: run(argv, DOCTORED.get(name)) for name, argv in CASES.items()}
+        finally:
+            os.chdir(home)
 
 
 def regenerate() -> list[str]:
@@ -380,21 +400,13 @@ def regenerate() -> list[str]:
     cases whose file differs from a fresh record.  No file is rewritten
     or deleted."""
     differ = []
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        prepare(Path(scratch))
-        os.chdir(scratch)
-        try:
-            for name, argv in CASES.items():
-                record = run(argv, DOCTORED.get(name))
-                path = GOLDEN / f"{name}.json"
-                if not path.exists():
-                    text = json.dumps(record, indent=2, ensure_ascii=False)
-                    path.write_text(text + "\n", encoding="utf-8")
-                elif json.loads(path.read_text(encoding="utf-8")) != record:
-                    differ.append(name)
-        finally:
-            os.chdir(home)
+    for name, record in record_cases().items():
+        path = GOLDEN / f"{name}.json"
+        if not path.exists():
+            text = json.dumps(record, indent=2, ensure_ascii=False)
+            path.write_text(text + "\n", encoding="utf-8")
+        elif json.loads(path.read_text(encoding="utf-8")) != record:
+            differ.append(name)
     return differ
 
 

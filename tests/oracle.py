@@ -24,6 +24,7 @@ code multiplied out, that the per-word-mask check of ``bruteforce_report``
 replaces.  ``verify_hvkn_reference`` is the one-piece identity check,
 every code in a single array and the sample stream drawn in one call
 (``hvkn_reference_codes``), that the blocked ``verify_hvkn`` replaces.
+``maximally_mixed`` is the dense state I/2^n that several tests evaluate.
 ``to_bits`` and ``scan_from_csv`` read an assignment's code and a
 ``scan --format csv`` table back, the inverses of
 ``Assignment.from_bits`` and ``scan_to_csv``.
@@ -80,6 +81,11 @@ def oracle_matrix(text: str) -> np.ndarray:
 
 def dense(word: PauliString) -> np.ndarray:
     return oracle_matrix(word.to_text())
+
+
+def maximally_mixed(n: int) -> DenseState:
+    dim = 1 << n
+    return DenseState(np.eye(dim, dtype=complex) / dim)
 
 
 def random_word(rng: np.random.Generator, n: int) -> PauliString:

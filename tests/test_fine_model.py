@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracle import LETTER, dense
+from oracle import LETTER, dense, maximally_mixed
 
 import kslab.fine_model
 from kslab.errors import VerificationError
@@ -33,7 +33,6 @@ from kslab.pauli import LambdaIndex, PauliString, lambda_element
 from kslab.states import (
     DenseState,
     GhzSuperposition,
-    maximally_mixed,
     pi_vector,
     random_density,
     to_density_matrix,

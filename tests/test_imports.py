@@ -86,7 +86,7 @@ PUBLIC_NAMES = [
     "decide_violation", "evaluate_experiment", "expectation", "f_value",
     "g_value", "ghz_certificate", "halfgroup_sums",
     "indicator_matrix", "ingest_correlators", "lambda_element",
-    "maximally_mixed", "multipartite_bound", "multipartite_report",
+    "multipartite_bound", "multipartite_report",
     "parse_state_spec", "pauli_mul", "peres_mermin_certificate", "pi_vector",
     "random_commuting_family", "random_density", "random_measure_space",
     "read_dense_state", "required_words", "run_fine_suite", "scan",

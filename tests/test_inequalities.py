@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle import oracle_matrix, scan_from_csv
+from oracle import maximally_mixed, oracle_matrix, scan_from_csv
 
 from kslab.pauli import SITE_LIMIT
 from kslab.inequalities import (
@@ -28,7 +28,6 @@ from kslab.states import (
     GhzSuperposition,
     ProductState,
     WernerState,
-    maximally_mixed,
     pi_vector,
     random_density,
     to_density_matrix,

@@ -1,13 +1,16 @@
-"""The README's Python examples run, and its shown CLI reports match,
-against this kslab."""
+"""The README's Python examples run and show the values they print, and
+its shown CLI reports match, against this kslab."""
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,46 @@ def test_python_example_runs(index, kslab_env):
         capture_output=True, text=True, env=kslab_env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _leading_literal(comment: str) -> tuple:
+    """``(value,)`` of the Python literal that ``comment`` starts with, or
+    ``()`` when it starts with none: the shortest prefix, ending before a
+    comma, colon, semicolon, space or the end, that ``ast.literal_eval``
+    reads."""
+    ends = [match.start() for match in re.finditer(r"[,:;\s]", comment)]
+    for end in [*ends, len(comment)]:
+        try:
+            return (ast.literal_eval(comment[:end]),)
+        except (ValueError, TypeError, SyntaxError):
+            continue
+    return ()
+
+
+def _shown_values(block: str) -> dict[int, object]:
+    """By line number, the value that a trailing comment of ``block`` shows
+    when it starts with a literal."""
+    shown = {}
+    for token in tokenize.generate_tokens(io.StringIO(block).readline):
+        if token.type == tokenize.COMMENT and token.line[: token.start[1]].strip():
+            literal = _leading_literal(token.string[1:].strip())
+            if literal:
+                shown[token.start[0]] = literal[0]
+    return shown
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_python_example_shows_what_it_prints(index):
+    block, namespace, checked = BLOCKS[index], {}, []
+    shown = _shown_values(block)
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr) and node.end_lineno in shown:
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert value == shown[node.end_lineno], ast.get_source_segment(block, node)
+            checked.append(node.end_lineno)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert checked == sorted(shown)
 
 
 def test_acceptance_printout_names_the_battery():

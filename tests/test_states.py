@@ -17,6 +17,7 @@ from oracle import (
     HnObservable,
     dense,
     half_group_term_sum,
+    maximally_mixed,
     oracle_matrix,
     positive_semidefinite_reference,
     random_word,
@@ -46,7 +47,6 @@ from kslab.states import (
     bell_fidelity,
     expectation,
     f_value,
-    maximally_mixed,
     parse_state_spec,
     pi_vector,
     random_density,
@@ -386,7 +386,7 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "route",
-        [f_value, to_density_matrix, lambda state: expectation(state, PauliString.identity(2))],
+        [f_value, to_density_matrix, lambda state: expectation(state, PauliString(2, 0, 0))],
         ids=["f_value", "to_density_matrix", "expectation"],
     )
     def test_rejects_what_is_not_a_state_model(self, route):
