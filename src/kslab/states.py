@@ -339,7 +339,8 @@ def f_value(state: StateModel) -> float:
         raise ValueError(f"F^psi defined for 1 <= n <= {SITE_LIMIT}")
 
     if isinstance(state, GhzSuperposition):
-        return 2.0 ** (n - 1) * (abs(state.alpha) ** 2 + abs(state.beta) ** 2)
+        # rho_00 + rho_last,last = |alpha|^2 + |beta|^2, which the constructor holds at 1
+        return 2.0 ** (n - 1)
 
     if isinstance(state, ProductState):
         up = math.prod(1 + rz for _, _, rz in state.bloch)

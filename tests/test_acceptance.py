@@ -12,10 +12,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from golden_corpus import run
 from oracle import oracle_matrix
 
 from kslab.certificates import ghz_certificate, peres_mermin_certificate
-from kslab.cli import main
 from kslab.experiment import required_words
 from kslab.fine_model import (
     build_model,
@@ -212,12 +212,11 @@ def test_09_measure_lemma(announce):
     announce["ok"] = True
 
 
-def test_10_cli_contract(announce, capsys, tmp_path):
+def test_10_cli_contract(announce, tmp_path):
     announce["label"] = LABELS[9]
-    code = main(["violate", "--state", "werner:lambda=0.5", "--kind", "two"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["violated"] is True
+    record = run(["violate", "--state", "werner:lambda=0.5", "--kind", "two"])
+    assert record["exit"] == 0
+    assert json.loads(record["stdout"])["violated"] is True
 
     ghz = GhzSuperposition(3, 2**-0.5, 2**-0.5)
     rho = to_density_matrix(ghz)
@@ -228,9 +227,9 @@ def test_10_cli_contract(announce, capsys, tmp_path):
         lines.append(f"{letters},{clipped!r},0")
     path = tmp_path / "ghz.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code = main(["check", "--file", str(path), "--kind", "multi"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
+    record = run(["check", "--file", str(path), "--kind", "multi"])
+    assert record["exit"] == 0
+    payload = json.loads(record["stdout"])
     analytic = multipartite_report(ghz)
     assert payload["lhs"] == pytest.approx(analytic.lhs, abs=1e-10)
     assert payload["bound"] == analytic.bound

@@ -168,16 +168,6 @@ class TestBruteforceBound:
         for n in range(3, 9):
             assert bruteforce_report(n).g_min == -int(multipartite_bound(n))
 
-    def test_thread_cap_env(self, monkeypatch):
-        # the sweep runs on one process; a leftover KS_LAB_THREADS, even
-        # one the pool used to reject, changes nothing
-        for value in ("1", "zero?"):
-            monkeypatch.setenv("KS_LAB_THREADS", value)
-            assert bruteforce_report(8).workers == 1
-
-    def test_small_ranges_collapse_to_one_worker(self):
-        assert bruteforce_report(4).workers == 1
-
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_gray_scan(self, n):
         best_g, counter, min_g = scan_range(n, 0, 1 << (2 * n))

@@ -14,9 +14,10 @@ import tokenize
 from pathlib import Path
 
 import pytest
+from golden_corpus import run
 from test_acceptance import LABELS
 
-from kslab.cli import EXIT_PASS, main
+from kslab.cli import EXIT_PASS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -89,9 +90,10 @@ def test_readme_shows_reports():
 
 
 @pytest.mark.parametrize("argv, shown", REPORTS, ids=[argv for argv, _ in REPORTS])
-def test_shown_report_matches(argv, shown, capsys):
-    assert main(shlex.split(argv)) == EXIT_PASS
-    actual, expected = json.loads(capsys.readouterr().out), json.loads(shown)
+def test_shown_report_matches(argv, shown):
+    record = run(shlex.split(argv))
+    assert record["exit"] == EXIT_PASS
+    actual, expected = json.loads(record["stdout"]), json.loads(shown)
     # timing differs from run to run
     for report in (actual, expected):
         report.pop("elapsed", None)
