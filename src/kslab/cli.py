@@ -109,13 +109,15 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[Payload, bool]:
 
 def _cmd_check(args: argparse.Namespace) -> tuple[Payload, bool]:
     from .experiment import evaluate_experiment, ingest_correlators
+    from .inequalities import SIGNIFICANCE_K
 
+    k = SIGNIFICANCE_K if args.k is None else args.k
     table = ingest_correlators(args.file)
     if not table:
         raise ValueError(f"no correlator rows in {args.file!r}")
     n = len(next(iter(table)))  # the first word's length sets n
-    report = evaluate_experiment(table, _KIND_NAMES[args.kind], n, k=args.k)
-    return {"file": args.file, "k": args.k, **report.to_dict()}, True
+    report = evaluate_experiment(table, _KIND_NAMES[args.kind], n, k=k)
+    return {"file": args.file, "k": k, **report.to_dict()}, True
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[Payload, bool]:
@@ -203,9 +205,7 @@ def build_parser() -> _Parser:
     check = sub.add_parser("check", help="evaluate measured correlators from a CSV")
     check.add_argument("--file", required=True, help="CSV with word,value,sigma rows")
     check.add_argument("--kind", choices=sorted(_KIND_NAMES), required=True)
-    check.add_argument(
-        "--k", type=float, default=3.0, help="significance threshold in sigmas"
-    )
+    check.add_argument("--k", type=float, help="significance threshold in sigmas")
 
     verify = sub.add_parser("verify", help="run a built-in verification suite")
     verify.add_argument(

@@ -19,6 +19,10 @@ from .pauli import LINE_LIMIT, SITE_LIMIT, LambdaIndex, lambda_element, parse_wo
 
 KINDS = ("two-partite", "multipartite")
 
+# Largest n whose word list ``required_words`` builds: 2^(n-1) words at
+# about 11 us each, 0.4 s at n = 16 and doubling with each site.
+WORD_LIST_LIMIT = 16
+
 
 def ingest_correlators(source: str | IO[str]) -> dict[str, tuple[float, float]]:
     """Read a correlator CSV into ``{letters: (value, sigma)}``, in file order.
@@ -114,8 +118,13 @@ def _required(kind: str, n: int) -> tuple[int, Callable[[str], bool], Iterator[s
 
 
 def required_words(kind: str, n: int) -> list[str]:
-    """Letter form of the correlators an inequality needs."""
-    return list(_required(kind, n)[2])
+    """Letter form of the correlators an inequality needs, for n up to
+    ``WORD_LIST_LIMIT``; a larger n raises ValueError before any word is
+    built."""
+    words = _required(kind, n)[2]
+    if n > WORD_LIST_LIMIT:
+        raise ValueError(f"word lists need n <= {WORD_LIST_LIMIT}, got {n}")
+    return list(words)
 
 
 # Words quoted in a missing- or unknown-correlator error.

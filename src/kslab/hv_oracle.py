@@ -24,7 +24,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +43,8 @@ HVKN_LIMIT = 20
 # 32 KB each, so memory stays flat in the sample budget.
 _HVKN_BLOCK = 1 << 12
 
+# Codes the identity check samples when 4^n is larger.
+_SAMPLE_BUDGET = 100_000
 _SAMPLE_SEED = 104729
 
 
@@ -111,20 +112,17 @@ class BoundReport:
         }
 
 
-@lru_cache(maxsize=None)
 def _spectrum(n: int, odd: bool) -> np.ndarray:
     """Signed word sums of one non-diagonal family half for every n-bit
     mask m, sum_q s_q (-1)^popcount(m & z_q): the Walsh-Hadamard
     transform of the half's signed z-mask table.  An upper-half word has
     the full X mask and phase 0, so its sign i^popcount(z) counts as
     (-1)^(popcount(z) >> 1) in both families (i^1 and i^3 give +1 and -1
-    in the anti-Hermitian odd half).  Read-only, since the cache shares it."""
+    in the anti-Hermitian odd half)."""
     z = half_zmasks(n, odd)
     table = np.zeros(1 << n, dtype=np.int64)
     table[z] = 1 - 2 * ((np.bitwise_count(z).astype(np.int64) >> 1) & 1)
-    spectrum = walsh_hadamard(table)
-    spectrum.flags.writeable = False
-    return spectrum
+    return walsh_hadamard(table)
 
 
 def _word_masks(n: int, ints: np.ndarray) -> np.ndarray:
@@ -295,11 +293,11 @@ class HvknReport:
         }
 
 
-def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
+def verify_hvkn(n: int) -> HvknReport:
     """Check that ``_signed_products``, the kernel of the bound sweep,
     equals the signed word sums over the non-diagonal family halves.
 
-    Exhaustive when 2^{2n} fits the budget, otherwise a fixed-seed
+    Exhaustive when 2^{2n} fits ``_SAMPLE_BUDGET``, otherwise a fixed-seed
     uniform sample of that size: the low 2n bits of each little-endian
     64-bit word of ``random.Random(104729).randbytes`` (4^n is a power of
     two, so those bits are uniform).  Codes are checked in fixed-size
@@ -310,13 +308,11 @@ def verify_hvkn(n: int, sample_budget: int = 100_000) -> HvknReport:
     """
     if not 2 <= n <= HVKN_LIMIT:
         raise ValueError(f"identity check needs n >= 2 and n <= {HVKN_LIMIT}, got {n}")
-    if sample_budget < 1:
-        raise ValueError("sample budget must be positive")
     total = 1 << (2 * n)
-    if total <= sample_budget:
+    if total <= _SAMPLE_BUDGET:
         mode, seed, checked = "exhaustive", None, total
     else:
-        mode, seed, checked = "sampled", _SAMPLE_SEED, sample_budget
+        mode, seed, checked = "sampled", _SAMPLE_SEED, _SAMPLE_BUDGET
         stream = random.Random(seed)
     even, odd = _spectrum(n, False), _spectrum(n, True)
 

@@ -508,24 +508,18 @@ def _read_row(path: str, i: int, line: str, out: np.ndarray) -> None:
     An ASCII row whose separators are exactly "," and " " in turn, 2^n
     commas in all, and which holds no other byte up to the space, is
     one ``np.loadtxt`` call: its tokens are the row's re and im parts,
-    which numpy parses in C.  A row with other whitespace (tabs,
-    repeated spaces, form feeds, ...) is first rejoined with single
-    spaces, which leaves its entries as they were.  numpy accepts a
-    subset of what ``float`` accepts, with the same bits; ``1_0`` and
-    non-ASCII digits are not in it.  Every other row, a parse numpy
-    refuses and a parse of the wrong shape take ``_read_entries``, which
-    accepts what ``float`` accepts and names the first bad entry.
+    which numpy parses in C.  numpy accepts a subset of what ``float``
+    accepts, with the same bits; ``1_0`` and non-ASCII digits are not in
+    it.  Every other row (tabs or repeated spaces among them), a parse
+    numpy refuses and a parse of the wrong shape take ``_read_entries``,
+    which accepts what ``float`` accepts and names the first bad entry.
     """
     import numpy as np
 
     dim = out.shape[0] // 2
     if line.isascii():
         separators = b", " * (dim - 1) + b","
-        found = line.encode().translate(None, _NOT_SEPARATORS)
-        if found != separators:
-            line = " ".join(line.split())
-            found = line.encode().translate(None, _NOT_SEPARATORS)
-        if found == separators:
+        if line.encode().translate(None, _NOT_SEPARATORS) == separators:
             try:
                 values = np.loadtxt([line.replace(" ", ",")], delimiter=",", comments=None)
             except ValueError:

@@ -90,10 +90,8 @@ def _raise_word_sum(spectrum: Callable, n: int, mask: int) -> Callable:
 
     def doctored(k, odd):
         table = spectrum(k, odd)
-        if (k, odd) != (n, False):
-            return table
-        table = table.copy()
-        table[mask] += 2
+        if (k, odd) == (n, False):
+            table[mask] += 2
         return table
 
     return doctored
@@ -255,6 +253,7 @@ CASES: dict[str, list[str]] = {
     "check_bom": _check("bom.csv", "--kind", "two"),
     "check_not_utf8": _check("not_utf8.csv", "--kind", "two"),
     "check_reading_order": _check("reading_order.csv", "--kind", "two"),
+    "check_multi_one_site": _check("one_site.csv", "--kind", "multi"),
     "dense_pi": _dense("pi.txt"),
     "dense_bell": _dense("bell.txt"),
     "dense_bell_multi": _dense("bell.txt", "--kind", "multi"),
@@ -276,6 +275,8 @@ CASES: dict[str, list[str]] = {
     "dense_bom": _dense("dense_bom.txt"),
     "dense_not_utf8": _dense("dense_not_utf8.txt"),
     "dense_missing_file": _dense("no_such_file.txt"),
+    "dense_nan_entry": _dense("dense_nan_entry.txt"),
+    "dense_long_row": _dense("dense_long_row.txt"),
     **{
         f"bound_{n}_workers_{workers}": [
             "bound", "--n", str(n), "--bruteforce", "--workers", str(workers)
@@ -285,6 +286,7 @@ CASES: dict[str, list[str]] = {
     },
     "bound_workers_0": ["bound", "--n", "4", "--bruteforce", "--workers", "0"],
     **{f"bound_{n}": ["bound", "--n", str(n), "--bruteforce"] for n in range(7, 15)},
+    "bound_15": ["bound", "--n", "15", "--bruteforce"],
     "bound_1023": ["bound", "--n", "1023"],
     "bound_n_not_an_integer": ["bound", "--n", "x"],
     **{
@@ -299,6 +301,19 @@ CASES: dict[str, list[str]] = {
     "violate_werner_multi": _violate("werner:lambda=0.5", "--kind", "multi"),
     "violate_unknown_field": _violate("ghz:n=3,alpha=1,beta=0,gamma=5"),
     "violate_repeated_field": _violate("werner:lambda=0.5,lambda=0.9"),
+    "violate_malformed_field": _violate("werner:lambda"),
+    "violate_missing_field": _violate("ghz:n=3,alpha=1"),
+    "violate_no_kind": _violate("werner"),
+    "violate_unknown_kind": _violate("bell:x=1"),
+    "violate_dense_without_at": _violate("dense:file.txt"),
+    "violate_werner_out_of_range": _violate("werner:lambda=2"),
+    "violate_ghz_not_normalized": _violate("ghz:n=3,alpha=1,beta=1"),
+    "violate_ghz_nan": _violate("ghz:n=3,alpha=nan,beta=0"),
+    "violate_ghz_no_sites": _violate("ghz:n=0,alpha=1,beta=0"),
+    "violate_ghz_above_limit": _violate("ghz:n=1024,alpha=1,beta=0"),
+    "violate_ghz_two_needs_two_sites": _violate("ghz:n=3,alpha=1,beta=0", "--kind", "two"),
+    "violate_product_bad_letter": _violate("product:+x"),
+    "group_0": ["group", "--n", "0"],
     "group_3": ["group", "--n", "3"],
     "scan_csv": ["scan", "--from", "2", "--to", "6"],
     "scan_json": ["scan", "--from", "2", "--to", "6", "--format", "json"],

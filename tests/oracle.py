@@ -4,10 +4,7 @@ Matrices are composed from rendered text (sign prefix, one letter per
 site, the true sigma_y), so none of the package's mask or phase
 bookkeeping is reused by ``oracle_matrix``.  Signed parity sums are summed
 term by term, the brute-force route that the Walsh-Hadamard spectra
-replace.  ``scan_range`` is the Gray-order sweep of site values, one
-value of g per assignment, that checks the extrema and the witness
-``bruteforce_report`` reads from its word-sum spectrum.
-``HnObservable`` is the rank-two observable behind F^psi, and
+replace.  ``HnObservable`` is the rank-two observable behind F^psi, and
 ``half_group_term_sum`` sums F^psi of an analytic state over its 2^{n-1}
 half-group terms, the route that the closed forms in ``kslab.states``
 replace.  ``read_dense_reference`` is the whole-file, entry-by-entry
@@ -136,46 +133,6 @@ def parity_dot(masks: np.ndarray, z_masks: np.ndarray, signs: np.ndarray) -> np.
         values = 1 - 2 * (block & np.uint8(1)).astype(np.int64)
         out[lo : lo + step] = values @ signs
     return out
-
-
-def scan_range(n: int, begin: int, end: int) -> tuple[int, int, int]:
-    """Gray-order sweep of assignment counters [begin, end); returns
-    (max g, counter attaining it first, min g).
-
-    Counter k encodes the assignment gray(k) = k ^ (k >> 1); consecutive
-    counters differ in one site value, so the Gaussian-integer product
-    only rotates by +/-i per step.
-    """
-    bits = begin ^ (begin >> 1)
-    vals = [1 - 2 * ((bits >> j) & 1) for j in range(2 * n)]
-    re, im = 1, 0
-    p_sign = 1
-    for j in range(n):
-        vx, vy = vals[j], vals[n + j]
-        re, im = re * vx - im * vy, re * vy + im * vx
-        if vx < 0:
-            p_sign = -p_sign
-    g = re * p_sign
-    best_g, best_counter, min_g = g, begin, g
-    for k in range(begin + 1, end):
-        t = (k & -k).bit_length() - 1
-        if t < n:
-            s = vals[t] * vals[n + t]
-            vals[t] = -vals[t]
-            p_sign = -p_sign
-        else:
-            s = -vals[t - n] * vals[t]
-            vals[t] = -vals[t]
-        if s > 0:
-            re, im = -im, re
-        else:
-            re, im = im, -re
-        g = re * p_sign
-        if g > best_g:
-            best_g, best_counter = g, k
-        elif g < min_g:
-            min_g = g
-    return best_g, best_counter, min_g
 
 
 @dataclass(frozen=True)

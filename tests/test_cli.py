@@ -32,9 +32,9 @@ from oracle import scan_from_csv
 import kslab.experiment
 import kslab.inequalities
 import kslab.pauli
-from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION, build_parser
+from kslab.cli import EXIT_PASS, EXIT_USAGE, EXIT_VERIFICATION
 from kslab.experiment import required_words
-from kslab.inequalities import SIGNIFICANCE_K, scan
+from kslab.inequalities import scan
 from kslab.pauli import GROUP_LIMIT, PauliString
 
 
@@ -201,10 +201,12 @@ class TestCheck:
         path.write_text(text, encoding="utf-8")
         return str(path)
 
-    def test_default_threshold_is_the_library_default(self):
-        # the parser loads no kslab.inequalities, so it spells the value out
-        args = build_parser().parse_args(["check", "--file", "data.csv", "--kind", "two"])
-        assert args.k == SIGNIFICANCE_K
+    def test_default_threshold_is_the_library_default(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kslab.inequalities, "SIGNIFICANCE_K", 20.0)
+        path = self.write(tmp_path, "word,value,sigma\nXX,0.7,0.01\nYY,0.7,0.01\nZZ,-0.7,0.01\n")
+        record = run(["check", "--file", path, "--kind", "two"])
+        assert record["exit"] == EXIT_PASS
+        assert json.loads(record["stdout"])["k"] == 20.0
 
     @pytest.mark.parametrize("k", ["-5", "nan", "inf", "-inf", "-1e3", "-nan"])
     def test_bad_threshold_is_usage_error(self, tmp_path, k):

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from oracle import ingest_correlators_reference
 
 import kslab.experiment
-from kslab.experiment import evaluate_experiment, ingest_correlators, required_words
+from kslab.experiment import (
+    WORD_LIST_LIMIT,
+    evaluate_experiment,
+    ingest_correlators,
+    required_words,
+)
 from kslab.pauli import LINE_LIMIT, PauliString, parse_word
 
 
@@ -289,6 +294,19 @@ class TestRequiredWords:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown inequality kind"):
             required_words("triangle", 3)
+
+    def test_largest_list_is_built(self):
+        words = required_words("multipartite", WORD_LIST_LIMIT)
+        assert len(words) == 1 << (WORD_LIST_LIMIT - 1)
+
+    @pytest.mark.parametrize("n", [WORD_LIST_LIMIT + 1, 30, 1023])
+    def test_larger_lists_are_refused_before_any_word(self, n, monkeypatch):
+        def refuse(index):
+            raise AssertionError(f"word built at n = {index.n}")
+
+        monkeypatch.setattr(kslab.experiment, "lambda_element", refuse)
+        with pytest.raises(ValueError, match=rf"n <= {WORD_LIST_LIMIT}, got {n}"):
+            required_words("multipartite", n)
 
 
 class TestEvaluateTwoPartite:

@@ -34,7 +34,7 @@ LIBRARY_ONLY = {
 
 def uncalled() -> set[str]:
     """The ``def`` functions of ``src/kslab`` that the corpus never calls."""
-    # a cached function runs only on the calls that miss its cache
+    # pauli._site_matrix is cached, so it runs only on the calls that miss it
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "kslab":
             for value in vars(module).values():

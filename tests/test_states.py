@@ -807,7 +807,7 @@ class TestDenseReader:
         "row, by_entry",
         [
             ("0,0 0.5,0", False),
-            ("0,0\t\x0c 0.5,0", False),  # other whitespace: rejoined with single spaces
+            ("0,0\t\x0c 0.5,0", True),  # other whitespace
             ("0,0 0.5_0,0", True),  # numpy refuses the underscore
             ("0,0 \uff10.\uff15,0", True),  # not ASCII: full-width digits
             ("0,0,0 0.5", True),  # commas and spaces do not alternate
