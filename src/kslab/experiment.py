@@ -145,9 +145,9 @@ def evaluate_experiment(
     unknown, and the missing count is the required count less the words
     that pass.  A short table is reported first, then missing words,
     then unknown ones.  The required words are produced only to quote
-    the first few missing ones.  Sums run over the sorted words, and the
-    multipartite lhs is a correctly rounded ``math.fsum``, so it does
-    not depend on row order.  An lhs or sigma that overflows the float
+    the first few missing ones.  Sums run over the sorted words, and
+    either lhs is a correctly rounded ``math.fsum``, so it does not
+    depend on row order.  An lhs or sigma that overflows the float
     range raises ValueError.
     """
     count, needed, words = _required(kind, n)
@@ -171,12 +171,11 @@ def evaluate_experiment(
     # I < Z and X < Y < Z: the sums run in a fixed order, XX, YY, ZZ first
     values, sigmas = zip(*(table[word] for word in sorted(table)))
     if kind == "two-partite":
-        lhs = 1.0 + values[0] + values[1] - values[2]
-    else:
-        try:
-            lhs = math.fsum(values)
-        except OverflowError:  # a partial sum left the float range
-            lhs = math.inf
+        values = (1.0, values[0], values[1], -values[2])
+    try:
+        lhs = math.fsum(values)
+    except OverflowError:  # a partial sum left the float range
+        lhs = math.inf
     sigma = math.hypot(*sigmas)
     if not (math.isfinite(lhs) and math.isfinite(sigma)):
         raise ValueError(f"{kind} sums overflow: lhs {lhs}, sigma {sigma}")

@@ -87,13 +87,29 @@ class InequalityReport:
 def decide_violation(
     lhs: float, bound: float, uncertainty: float | None = None, k: float = SIGNIFICANCE_K
 ) -> bool:
-    """Strict exceedance test: k standard errors with uncertainty, a fixed
-    guard band without.  k must be finite and non-negative."""
+    """Strict exceedance test: lhs - bound > k * uncertainty with an
+    uncertainty, lhs - bound > GUARD_BAND without.  k must be finite and
+    non-negative.
+
+    Finite operands are compared exactly, as the rationals their floats
+    hold, so the verdict follows from the printed numbers whatever the
+    rounding of the subtraction or the product.  An infinite or NaN
+    operand has no such value, and keeps the float comparison.
+    """
     if not (math.isfinite(k) and k >= 0):
         raise ValueError(f"k must be finite and >= 0, got {k}")
     if uncertainty is not None and uncertainty > 0:
-        return lhs - bound > k * uncertainty
-    return lhs - bound > GUARD_BAND
+        scale, margin = k, uncertainty
+    else:
+        scale, margin = 1, GUARD_BAND
+    try:
+        (a, b), (c, d), (e, f), (g, h) = (
+            float(x).as_integer_ratio() for x in (lhs, bound, scale, margin)
+        )
+    except (OverflowError, ValueError):  # inf or NaN
+        return lhs - bound > scale * margin
+    # a/b - c/d > (e/f)(g/h), every denominator positive
+    return (a * d - c * b) * f * h > e * g * b * d
 
 
 def two_partite_report(state: StateModel) -> InequalityReport:

@@ -330,9 +330,9 @@ def f_value(state: StateModel) -> float:
 
     The lower half-group words are the even-weight Z-strings, so
     F^psi = 2^{n-1}(rho_00 + rho_last,last).  Analytic states evaluate
-    that closed form in O(n).  Dense states read every term's diagonal sum
-    from one Walsh-Hadamard transform of the diagonal, and cross-check the
-    total against the closed form.
+    that closed form in O(n).  Dense states report it too, correctly
+    rounded, and cross-check it against the sum of every term's diagonal
+    sum, read from one Walsh-Hadamard transform of the diagonal.
     """
     n = state.n
     if not 1 <= n <= SITE_LIMIT:
@@ -354,13 +354,14 @@ def f_value(state: StateModel) -> float:
         import numpy as np
 
         diag = np.diag(state.rho).real
-        term_sum = float(walsh_hadamard(diag)[half_zmasks(n)].sum())
+        # one rounded addition, scaled exactly by a power of two
         direct = (1 << (n - 1)) * float(diag[0] + diag[-1])
+        term_sum = float(walsh_hadamard(diag)[half_zmasks(n)].sum())
         if not abs(term_sum - direct) <= ATOL_SCALAR * max(1.0, abs(direct)):
             raise VerificationError(
                 f"term sum {term_sum!r} disagrees with rank-two route {direct!r}"
             )
-        return term_sum
+        return direct
 
     raise TypeError(f"not a state model: {type(state).__name__}")
 
@@ -450,7 +451,7 @@ def read_dense_state(path: str) -> DenseState:
     Each row is checked as it is read: a malformed row is reported by
     row (and entry) before the row count is compared, and rows past the
     2^n-th are counted but not parsed.  A row as ``write_dense_state``
-    writes it is parsed by numpy in one call, and any other row entry by
+    writes it is parsed by orjson in one call, and any other row entry by
     entry (``_read_row``); both accept the same rows, with the same bits
     and messages.  The state adopts the filled
     buffer instead of copying it.  The file is read as UTF-8 after an
@@ -497,37 +498,44 @@ def read_dense_state(path: str) -> DenseState:
     return DenseState._adopt(buf.view(complex))
 
 
-# Every ASCII byte but the separators: deleted from a row, they leave its
-# separator sequence, ", , ... ," for a row that ``_read_row`` hands to numpy.
-_NOT_SEPARATORS = bytes(c for c in range(ord(" ") + 1, 128) if c != ord(","))
+# The bytes of a number in a row that ``_read_row`` hands to orjson:
+# deleted from such a row, they leave exactly its separator sequence,
+# ", , ... ,", so one ``translate`` checks both the row's layout and that
+# no other byte (a letter, a quote, a bracket, "_") reaches JSON.
+_NOT_SEPARATORS = b"0123456789+-.eE"
 
 
 def _read_row(path: str, i: int, line: str, out: np.ndarray) -> None:
     """Parse matrix row i into ``out`` as re, im, re, im, ...
 
     An ASCII row whose separators are exactly "," and " " in turn, 2^n
-    commas in all, and which holds no other byte up to the space, is
-    one ``np.loadtxt`` call: its tokens are the row's re and im parts,
-    which numpy parses in C.  numpy accepts a subset of what ``float``
-    accepts, with the same bits; ``1_0`` and non-ASCII digits are not in
-    it.  Every other row (tabs or repeated spaces among them), a parse
-    numpy refuses and a parse of the wrong shape take ``_read_entries``,
-    which accepts what ``float`` accepts and names the first bad entry.
+    commas in all, and whose other bytes are all in ``_NOT_SEPARATORS``,
+    is one ``orjson.loads`` call on the row as a JSON list of its re and
+    im parts.  JSON numbers are a subset of what ``float`` accepts, with
+    the same bits, with one exception: the integer ``-0`` reads as 0, so
+    a row that may hold it is not handed over.  Every other row (tabs or
+    repeated spaces, ``inf``, ``1_0``, ``.5``, ``+1`` and ``01`` among
+    them), a parse orjson refuses and a parse of the wrong shape take
+    ``_read_entries``, which accepts what ``float`` accepts and names the
+    first bad entry.
     """
-    import numpy as np
+    import orjson
 
     dim = out.shape[0] // 2
-    if line.isascii():
-        separators = b", " * (dim - 1) + b","
-        if line.encode().translate(None, _NOT_SEPARATORS) == separators:
-            try:
-                values = np.loadtxt([line.replace(" ", ",")], delimiter=",", comments=None)
-            except ValueError:
-                pass
-            else:
-                if values.shape == out.shape:
-                    out[:] = values
-                    return
+    numbers = line.replace(" ", ",")
+    if (
+        line.isascii()
+        and line.encode().translate(None, _NOT_SEPARATORS) == b", " * (dim - 1) + b","
+        and not ("-0," in numbers or numbers.endswith("-0"))
+    ):
+        try:
+            values = orjson.loads("[" + numbers + "]")
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if len(values) == out.shape[0]:
+                out[:] = values
+                return
     _read_entries(path, i, line, out)
 
 

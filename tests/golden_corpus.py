@@ -218,6 +218,9 @@ def doctored(doctor: str | None):
 CASES: dict[str, list[str]] = {
     "check_two": _check("werner.csv", "--kind", "two"),
     "check_two_k20": _check("werner.csv", "--kind", "two", "--k", "20"),
+    # lhs - 2 exceeds 7.3 sigma by 5.1e-17 on the printed floats, while
+    # both sides round to the same float
+    "check_two_threshold": _check("threshold_two.csv", "--kind", "two", "--k", "7.3"),
     "check_two_signed": _check("werner_signed.csv", "--kind", "two"),
     "check_multi_ghz3": _check("ghz3.csv", "--kind", "multi"),
     "check_multi_signed": _check("multi4_signed.csv", "--kind", "multi", "--k", "1"),

@@ -346,6 +346,15 @@ class TestEvaluateTwoPartite:
         assert signed.lhs == pytest.approx(plain.lhs, abs=1e-12)
         assert signed.uncertainty == pytest.approx(plain.uncertainty, abs=1e-12)
 
+    def test_lhs_is_the_correctly_rounded_sum(self):
+        # left to right, 1 + xx + yy - zz rounds three times
+        rng = random.Random(32)
+        for _ in range(500):
+            xx, yy, zz = (rng.uniform(-1, 1) for _ in range(3))
+            rows = [f"XX,{xx!r},0.01", f"YY,{yy!r},0.01", f"ZZ,{zz!r},0.01"]
+            report = evaluate_experiment(ingest_correlators(csv_of(rows)), "two-partite", 2)
+            assert report.lhs == float(1 + Fraction(xx) + Fraction(yy) - Fraction(zz))
+
     def test_missing_word_error_names_it(self):
         table = ingest_correlators(csv_of(["XX,0.5,0", "YY,0.5,0"]))
         with pytest.raises(ValueError, match="missing.*ZZ"):

@@ -1,7 +1,8 @@
 """Import costs and the package's public names.
 
 Each subcommand must load only the kslab modules its route runs, the
-analytic subcommands must run without importing numpy, the
+analytic subcommands must run without importing numpy or orjson (which
+only the dense-state reader loads), the
 assignment checks without importing numpy.random, and the lazily
 resolved package must export exactly the names it always has.  The
 identity check's memory is measured against its module's import alone,
@@ -21,7 +22,7 @@ import kslab
 from kslab.experiment import required_words
 
 # Runs ``kslab.cli.main`` on the JSON argument list (none: import only)
-# and reports its exit code and whether numpy was imported.
+# and reports its exit code and whether numpy and orjson were imported.
 _PROBE = """
 import contextlib, io, json, sys
 import kslab.cli
@@ -30,12 +31,13 @@ code = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = kslab.cli.main(argv)
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "orjson": "orjson" in sys.modules}))
 """
 
 # Runs ``kslab.cli.main`` on the JSON argument list (none: build the
 # parser only) and reports its exit code and the sorted kslab modules,
-# and numpy, loaded by then.
+# and numpy and orjson, loaded by then.
 _FOOTPRINT_PROBE = """
 import contextlib, io, json, sys
 import kslab.cli
@@ -46,7 +48,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = kslab.cli.main(argv)
     else:
         kslab.cli.build_parser()
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "kslab")
+loaded = sorted(m for m in sys.modules if m in ("numpy", "orjson") or m.split(".")[0] == "kslab")
 print(json.dumps({"code": code, "modules": loaded}))
 """
 
@@ -106,7 +108,7 @@ def probe(argv: list[str], env: dict[str, str], script: str = _PROBE) -> dict:
 
 
 @pytest.fixture
-def csv_files(tmp_path) -> dict[str, str]:
+def input_files(tmp_path) -> dict[str, str]:
     multi = tmp_path / "multi.csv"
     multi.write_text(
         "word,value,sigma\n"
@@ -116,7 +118,13 @@ def csv_files(tmp_path) -> dict[str, str]:
     two = tmp_path / "two.csv"
     two.write_text("word,value,sigma\nXX,0.5,0.02\nYY,0.5,0.02\nZZ,-0.5,0.02\n",
                    encoding="utf-8")
-    return {"multi": str(multi), "two": str(two)}
+    dense = tmp_path / "dense.txt"
+    dense.write_text(
+        "2\n" + "".join(" ".join("0.25,0" if i == j else "0,0" for j in range(4)) + "\n"
+                        for i in range(4)),
+        encoding="utf-8",
+    )
+    return {"multi": str(multi), "two": str(two), "dense": str(dense)}
 
 
 NUMPY_FREE = {
@@ -136,10 +144,10 @@ NUMPY_FREE = {
 
 
 @pytest.mark.parametrize("job", sorted(NUMPY_FREE))
-def test_analytic_jobs_do_not_import_numpy(job, kslab_env, csv_files):
-    argv = [arg.format(**csv_files) for arg in NUMPY_FREE[job]]
+def test_analytic_jobs_do_not_import_numpy(job, kslab_env, input_files):
+    argv = [arg.format(**input_files) for arg in NUMPY_FREE[job]]
     outcome = probe(argv, kslab_env)
-    assert outcome == {"code": 0 if argv else None, "numpy": False}
+    assert outcome == {"code": 0 if argv else None, "numpy": False, "orjson": False}
 
 
 @pytest.mark.parametrize(
@@ -148,7 +156,7 @@ def test_analytic_jobs_do_not_import_numpy(job, kslab_env, csv_files):
 )
 def test_array_jobs_do_import_numpy(argv, kslab_env):
     # the probe sees numpy when a job does load it
-    assert probe(argv, kslab_env) == {"code": 0, "numpy": True}
+    assert probe(argv, kslab_env) == {"code": 0, "numpy": True, "orjson": False}
 
 
 def test_parser_loads_no_handler_module(kslab_env):
@@ -160,17 +168,19 @@ def test_parser_loads_no_handler_module(kslab_env):
 # (arguments, modules the job must load, modules it must not load)
 FOOTPRINTS = {
     "group": (["group", "--n", "3"], {"kslab.pauli"},
-              {"kslab.experiment", "kslab.inequalities", "kslab.states", "numpy"}),
+              {"kslab.experiment", "kslab.inequalities", "kslab.states", "numpy", "orjson"}),
     "bound-bruteforce": (["bound", "--n", "4", "--bruteforce"], {"kslab.hv_oracle"},
                          {"kslab.states", "kslab.fine_model", "kslab.experiment"}),
     "check-multi": (["check", "--file", "{multi}", "--kind", "multi"], {"kslab.experiment"},
                     {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates",
-                     "kslab.states", "numpy"}),
+                     "kslab.states", "numpy", "orjson"}),
     "check-two": (["check", "--file", "{two}", "--kind", "two"], {"kslab.experiment"},
                   {"kslab.hv_oracle", "kslab.fine_model", "kslab.certificates",
-                   "kslab.states", "numpy"}),
+                   "kslab.states", "numpy", "orjson"}),
     "certificates": (["verify", "--suite", "certificates"], {"kslab.certificates"},
-                     {"kslab.hv_oracle", "numpy"}),
+                     {"kslab.hv_oracle", "numpy", "orjson"}),
+    "violate-dense": (["violate", "--state", "dense:@{dense}"], {"kslab.states", "orjson"},
+                      {"kslab.hv_oracle", "kslab.fine_model", "kslab.experiment"}),
     "verify-hvkn": (["verify", "--suite", "hvkn"], {"kslab.hv_oracle"},
                     {"kslab.inequalities", "kslab.states", "kslab.fine_model",
                      "kslab.experiment"}),
@@ -178,9 +188,9 @@ FOOTPRINTS = {
 
 
 @pytest.mark.parametrize("job", sorted(FOOTPRINTS))
-def test_each_job_loads_only_its_route(job, kslab_env, csv_files):
+def test_each_job_loads_only_its_route(job, kslab_env, input_files):
     argv, loaded, absent = FOOTPRINTS[job]
-    outcome = probe([arg.format(**csv_files) for arg in argv], kslab_env, _FOOTPRINT_PROBE)
+    outcome = probe([arg.format(**input_files) for arg in argv], kslab_env, _FOOTPRINT_PROBE)
     assert outcome["code"] == 0
     assert loaded <= set(outcome["modules"])
     assert not absent & set(outcome["modules"])

@@ -70,6 +70,35 @@ class TestDecideViolation:
         assert decide_violation(2.0 + 1e-6, 2.0, uncertainty=0.0)
         assert not decide_violation(2.0 + 1e-12, 2.0, uncertainty=0.0)
 
+    def test_verdict_is_exact_on_the_floats(self):
+        # both float sides round to 0.6890964137912778; exactly, the
+        # left one is 5.1e-17 larger
+        assert decide_violation(2.689096413791278, 2.0, 0.09439676901250381, 7.3)
+        rng = np.random.default_rng(33)
+        for _ in range(3000):
+            bound = float(rng.choice([2.0, 4.0, 2.0**500]))
+            k = float(rng.choice([0.0, 1.0, SIGNIFICANCE_K, 7.3]))
+            uncertainty = [None, 0.0, bound * float(rng.exponential(0.05))][int(rng.integers(3))]
+            margin = Fraction(k) * Fraction(uncertainty) if uncertainty else Fraction(GUARD_BAND)
+            # within a few ulp of the threshold, where the float rule rounds
+            lhs = float(bound + margin) * (1 + float(rng.integers(-4, 5)) * 2.0**-53)
+            expected = Fraction(lhs) - Fraction(bound) > margin
+            assert decide_violation(lhs, bound, uncertainty, k) == expected
+
+    @pytest.mark.parametrize(
+        "lhs, uncertainty, k, expected",
+        [
+            (math.nan, None, 3.0, False),
+            (math.inf, None, 3.0, True),
+            (-math.inf, 0.1, 3.0, False),
+            (3.0, math.inf, 3.0, False),
+            (3.0, math.inf, 0.0, False),  # 0 * inf is NaN
+            (math.inf, math.inf, 3.0, False),
+        ],
+    )
+    def test_non_finite_operands_keep_the_float_rule(self, lhs, uncertainty, k, expected):
+        assert decide_violation(lhs, 2.0, uncertainty, k) is expected
+
 
 class TestTwoPartite:
     def test_werner_half_frozen(self):

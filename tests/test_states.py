@@ -6,9 +6,11 @@ import builtins
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,15 @@ class TestFValue:
             h = HnObservable(n).matrix()
             via_h = float(np.real(np.trace(state.rho @ h)))
             assert f_value(state) == pytest.approx(via_h, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dense_reports_the_correctly_rounded_closed_form(self, n):
+        rng = np.random.default_rng(900 + n)
+        for _ in range(25):
+            state = random_density(n, rng)
+            diag = np.diag(state.rho).real
+            exact = 2 ** (n - 1) * (Fraction(float(diag[0])) + Fraction(float(diag[-1])))
+            assert f_value(state) == float(exact)  # float() of a Fraction rounds correctly
 
     def test_nan_term_sum_fails_the_cross_check(self, monkeypatch):
         monkeypatch.setattr(
@@ -629,6 +640,60 @@ def assert_reads_like_reference(path: str) -> None:
         assert same_bits(read_dense_state(path).rho, expected.rho)
 
 
+def exact_decimal(value: Fraction) -> str:
+    """The exact decimal expansion of a positive Fraction whose
+    denominator is a power of two, in JSON's number syntax."""
+    shift = value.denominator.bit_length() - 1
+    digits = str(value.numerator * 5**shift).rjust(shift + 1, "0")
+    return digits[: len(digits) - shift] + ("." + digits[len(digits) - shift :] if shift else "")
+
+
+def token_battery(rng: np.random.Generator) -> dict[str, list[str]]:
+    """Dense-row entries "re,im", each of at most DENSE_ENTRY_CHARS - 1
+    characters, by kind of token; every token but the signed zeros is a
+    JSON number."""
+    doubles = rng.integers(0, 1 << 64, 6000, dtype=np.uint64).view(np.float64)
+    doubles = doubles[np.isfinite(doubles)]
+    # adjacent doubles from 2^-60 to 2^300, whose midpoints take at most 115 characters
+    lows = np.ldexp(rng.random(1000) + 1, rng.integers(-60, 300, 1000))
+    halfway = [
+        exact_decimal((Fraction(lo) + Fraction(float(np.nextafter(lo, np.inf)))) / 2)
+        for lo in lows.tolist()
+    ]
+    subnormals = rng.integers(1, 1 << 52, 300, dtype=np.uint64).view(np.float64)
+    # with ",0", up to 252 characters an entry
+    digits = ["".join(map(str, rng.integers(0, 10, size))) for size in rng.integers(225, 245, 60)]
+    integers = [
+        str(sign * (base + step))
+        for base in (2**53, 2**64, 10**30)
+        for step in range(-40, 41)
+        for sign in (1, -1)
+    ]
+
+    def pairs(tokens: list[str]) -> list[str]:
+        return [f"{re},{im}" for re, im in zip(tokens[::2], tokens[1::2])]
+
+    return {
+        "repr round trips": pairs([repr(x) for x in doubles.tolist()]),
+        "halfway points": pairs(halfway),
+        "subnormals": pairs(
+            [*map(repr, subnormals.tolist()), "1e-400", "-1e-400", "4.9e-324",
+             "2.4703282292062327e-324", "2.4703282292062328e-324", "2.2250738585072011e-308"]
+        ),
+        "long digit strings": [
+            f"{token},0"
+            for d in digits
+            for token in ("9" + d, "0." + d, "-0." + d + "e-5", "1" + d[:-12] + "E-200")
+        ],
+        "integers": pairs(integers),
+        # four to a row: the second row holds a -0 only before a comma,
+        # the third only at its end
+        "signed zeros": ["-0,-0", "-0.0,-0", "1e-0,-0.0", "0,-0",
+                         "-0e0,-0E+0", "-0,-0.0", "-0.0,1e-0", "0e-0,0",
+                         "0,0", "0,0", "-0.0,0", "0,-0"],
+    }
+
+
 class TestDenseReader:
     """The streamed reader against the whole-file reference parser."""
 
@@ -808,22 +873,63 @@ class TestDenseReader:
         [
             ("0,0 0.5,0", False),
             ("0,0\t\x0c 0.5,0", True),  # other whitespace
-            ("0,0 0.5_0,0", True),  # numpy refuses the underscore
+            ("0,0 0.5_0,0", True),  # the underscore is not a number byte
             ("0,0 \uff10.\uff15,0", True),  # not ASCII: full-width digits
             ("0,0,0 0.5", True),  # commas and spaces do not alternate
+            ("-0.0,0 0.5,-0.0E+0", False),
+            ("0,0 0.5,-0", True),  # JSON reads the integer -0 as +0
+            ("-0,0 0.5,0", True),
+            ("0,-0 0.5,0", True),
+            ("0,0 0.5e-0,0", True),  # "-0," may end a -0 token
+            ("0,0 .5,0", True),  # number bytes that JSON refuses
+            ("0,0 +0.5,0", True),
+            ("0,0 00.5,0", True),
+            ("0,0 0.5,1e400", True),
         ],
     )
-    def test_which_rows_numpy_parses(self, tmp_path, monkeypatch, row, by_entry):
+    def test_which_rows_parse_in_one_call(self, tmp_path, monkeypatch, row, by_entry):
         rows = self.rows_read_by_entry(monkeypatch)
         assert_reads_like_reference(dense_file(tmp_path, ["0.5,0 0,0", row]))
         assert rows == ([1] if by_entry else [])
+
+    @pytest.mark.parametrize(
+        "row", ["0,0 true,0", "0,0 null,0", '0,0 "1",0', "0,0 [1],0", "0,0 [1,0]", "0,0 {},0"]
+    )
+    def test_json_syntax_is_read_by_entry(self, tmp_path, monkeypatch, row):
+        rows = self.rows_read_by_entry(monkeypatch)
+        path = dense_file(tmp_path, ["0.5,0 0,0", row])
+        with pytest.raises(ValueError, match="row 1 entry 1 is not numeric") as info:
+            read_dense_state(path)
+        with pytest.raises(ValueError) as reference:
+            read_dense_reference(path)
+        assert str(info.value) == str(reference.value)
+        assert rows == [1]
 
     def test_parse_of_the_wrong_shape_is_read_by_entry(self, tmp_path, monkeypatch):
         path = str(tmp_path / "state.txt")
         state = random_density(2, np.random.default_rng(12))
         write_dense_state(path, state)
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[1:])
+        loads = orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda text: loads(text)[1:])
         rows = self.rows_read_by_entry(monkeypatch)
         assert same_bits(read_dense_state(path).rho, state.rho)
         assert rows == [0, 1, 2, 3]
+
+    def test_token_battery_matches_reference(self, tmp_path, monkeypatch):
+        # Each token's bits from one orjson call against float's.  The
+        # values are no density matrix, so the validation is switched off
+        # for both readers.
+        monkeypatch.setattr(kslab.states, "_check_density", lambda rho: None)
+        by_entry = self.rows_read_by_entry(monkeypatch)
+        for name, entries in token_battery(np.random.default_rng(31)).items():
+            for start in range(0, len(entries), 16):
+                block = entries[start : start + 16]
+                block += ["0,0"] * (16 - len(block))
+                rows = [" ".join(block[r : r + 4]) for r in range(0, 16, 4)]
+                by_entry.clear()
+                path = dense_file(tmp_path, rows, header="2")
+                assert same_bits(read_dense_state(path).rho, read_dense_reference(path).rho), (
+                    name, rows
+                )
+                if name != "signed zeros":
+                    assert by_entry == [], (name, rows)
