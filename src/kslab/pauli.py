@@ -22,14 +22,14 @@ All products and phases are computed in integer arithmetic, by one rule
 ``closure_break`` to the single-bit rows of an element table.
 Importing this module does not import numpy: it enters, by a
 function-local import, only in the routes that build arrays: the
-dense-matrix oracle ``PauliString.to_matrix``, the dense identity check
-and the vectorized z-mask tables (``half_zmasks``, ``walsh_hadamard``).
+dense-matrix oracle ``PauliString.to_matrix`` and the vectorized z-mask
+tables (``half_zmasks``, ``walsh_hadamard``).  The dense identity check
+runs in exact plain-Python arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 import re
 
@@ -57,6 +57,13 @@ _PREFIX_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _WORD_RE = re.compile(r"^([+-]?i?)([IXYZ]+)$")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 _X_BITS = str.maketrans("IXYZ", "0110")
+# Single-site factors in the (z, x) encoding; (1, 1) is sigma_z sigma_x.
+_SITE = {
+    (0, 0): ((1, 0), (0, 1)),
+    (0, 1): ((0, 1), (1, 0)),
+    (1, 0): ((1, 0), (0, -1)),
+    (1, 1): ((0, 1), (-1, 0)),
+}
 
 
 def parse_word(text: str) -> tuple[int, str]:
@@ -69,19 +76,6 @@ def parse_word(text: str) -> tuple[int, str]:
         raise ValueError(f"not a Pauli word: {text!r}")
     prefix, letters = match.groups()
     return _PREFIX_EXP[prefix], letters
-
-
-@lru_cache(maxsize=None)
-def _site_matrix() -> dict[tuple[int, int], np.ndarray]:
-    """Single-site factors in the (z, x) encoding; (1, 1) is sigma_z sigma_x."""
-    import numpy as np
-
-    return {
-        (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
-        (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-        (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
-        (1, 1): np.array([[0, 1], [-1, 0]], dtype=complex),
-    }
 
 
 def full_mask(n: int) -> int:
@@ -147,12 +141,9 @@ class PauliString:
             raise ValueError(f"dense form limited to n <= {DENSE_STATE_LIMIT}")
         import numpy as np
 
-        site = _site_matrix()
         out = np.array([[1j**self.phase_exp]])
         for j in range(self.n):
-            z = (self.z_mask >> j) & 1
-            x = (self.x_mask >> j) & 1
-            out = np.kron(out, site[(z, x)])
+            out = np.kron(out, _SITE[(self.z_mask >> j) & 1, (self.x_mask >> j) & 1])
         return out
 
 
@@ -329,23 +320,28 @@ def _family_expansion(words: list[PauliString]) -> dict[tuple[int, int], complex
 
 
 def _dense_residual(n: int, x_part: bool, odd: bool, words: list[PauliString]) -> float:
-    import numpy as np
-
-    site = _site_matrix()
-    site_plus = site[(0, 0)] + site[(1, 0)]
-    site_minus = site[(0, 0)] - site[(1, 0)]
-    if x_part:
-        # sigma_x +/- i sigma_y, written without leaving the (z, x) basis
-        site_plus = site[(0, 1)] + site[(1, 1)]
-        site_minus = site[(0, 1)] - site[(1, 1)]
-    branch_a = np.array([[1.0]], dtype=complex)
-    branch_b = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        branch_a = np.kron(branch_a, site_plus)
-        branch_b = np.kron(branch_b, site_minus)
-    lhs = (branch_a - branch_b) / 2 if odd else (branch_a + branch_b) / 2
-    rhs = sum(w.to_matrix() for w in words)
-    return float(np.max(np.abs(lhs - rhs)))
+    """Largest |lhs - rhs| over the 4^n entries of the identity's two sides
+    as 2^n x 2^n matrices, each side a sum of Kronecker products of 2 x 2
+    factors.  Every entry is a Gaussian integer or half of one, far below
+    2^53, so the plain-Python arithmetic is exact."""
+    # I +/- sigma_z, or sigma_x +/- i sigma_y written without leaving the (z, x) basis
+    u, v = _SITE[0, int(x_part)], _SITE[1, int(x_part)]
+    plus = [[p + q for p, q in zip(ru, rv)] for ru, rv in zip(u, v)]
+    minus = [[p - q for p, q in zip(ru, rv)] for ru, rv in zip(u, v)]
+    terms = [([plus] * n, 0.5), ([minus] * n, -0.5 if odd else 0.5)]
+    terms += [([_SITE[(w.z_mask >> j) & 1, (w.x_mask >> j) & 1] for j in range(n)], -(1j**w.phase_exp))
+              for w in words]
+    dim = 1 << n
+    diff = [0] * (dim * dim)
+    for factors, scale in terms:
+        entries = [(0, 0, scale)]  # (row, column, value) of each nonzero entry
+        for factor in factors:
+            nonzero = [(i, k, entry) for i, row in enumerate(factor) for k, entry in enumerate(row) if entry]
+            entries = [(2 * r + i, 2 * c + k, value * entry)
+                       for r, c, value in entries for i, k, entry in nonzero]
+        for r, c, value in entries:
+            diff[r * dim + c] += value
+    return float(max(map(abs, diff)))
 
 
 def verify_sum_identities(n: int) -> IdentityReport:

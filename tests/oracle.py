@@ -21,6 +21,8 @@ code multiplied out, that the per-word-mask check of ``bruteforce_report``
 replaces.  ``verify_hvkn_reference`` is the one-piece identity check,
 every code in a single array and the sample stream drawn in one call
 (``hvkn_reference_codes``), that the blocked ``verify_hvkn`` replaces.
+``dense_residual_reference`` is the numpy form of a sum identity's dense
+residual that the exact plain-Python ``pauli._dense_residual`` replaces.
 ``maximally_mixed`` is the dense state I/2^n that several tests evaluate.
 ``to_bits`` and ``scan_from_csv`` read an assignment's code and a
 ``scan --format csv`` table back, the inverses of
@@ -78,6 +80,21 @@ def oracle_matrix(text: str) -> np.ndarray:
 
 def dense(word: PauliString) -> np.ndarray:
     return oracle_matrix(word.to_text())
+
+
+def dense_residual_reference(n: int, x_part: bool, odd: bool, words: list[PauliString]) -> float:
+    """Largest |lhs - rhs| of a projector-sum identity, both sides as
+    numpy matrices: the left from Kronecker powers of I +/- Z (of
+    X +/- ZX with ``x_part``), the right from each word's letter matrix."""
+    a, b = (X, Z @ X) if x_part else (I2, Z)
+    branch_a = np.array([[1.0]], dtype=complex)
+    branch_b = np.array([[1.0]], dtype=complex)
+    for _ in range(n):
+        branch_a = np.kron(branch_a, a + b)
+        branch_b = np.kron(branch_b, a - b)
+    lhs = (branch_a - branch_b) / 2 if odd else (branch_a + branch_b) / 2
+    rhs = sum(dense(w) for w in words)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def maximally_mixed(n: int) -> DenseState:

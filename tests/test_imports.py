@@ -139,6 +139,7 @@ NUMPY_FREE = {
     "product-two": ["violate", "--state", "product:+-"],
     "ghz-two": ["violate", "--state", "ghz:n=2,alpha=0.6,beta=0.8"],
     "certificates": ["verify", "--suite", "certificates"],
+    "identities": ["verify", "--suite", "identities"],
     "group": ["group", "--n", "2"],
 }
 
@@ -152,7 +153,7 @@ def test_analytic_jobs_do_not_import_numpy(job, kslab_env, input_files):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bound", "--n", "4", "--bruteforce"], ["verify", "--suite", "identities"]],
+    [["bound", "--n", "4", "--bruteforce"], ["verify", "--suite", "hvkn"]],
 )
 def test_array_jobs_do_import_numpy(argv, kslab_env):
     # the probe sees numpy when a job does load it
@@ -179,6 +180,8 @@ FOOTPRINTS = {
                    "kslab.states", "numpy", "orjson"}),
     "certificates": (["verify", "--suite", "certificates"], {"kslab.certificates"},
                      {"kslab.hv_oracle", "numpy", "orjson"}),
+    "identities": (["verify", "--suite", "identities"], {"kslab.pauli"},
+                   {"kslab.hv_oracle", "kslab.states", "numpy", "orjson"}),
     "violate-dense": (["violate", "--state", "dense:@{dense}"], {"kslab.states", "orjson"},
                       {"kslab.hv_oracle", "kslab.fine_model", "kslab.experiment"}),
     "verify-hvkn": (["verify", "--suite", "hvkn"], {"kslab.hv_oracle"},

@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Y, Z, closure_break_reference, dense, oracle_matrix, random_word
+from oracle import (
+    Y,
+    Z,
+    closure_break_reference,
+    dense,
+    dense_residual_reference,
+    oracle_matrix,
+    random_word,
+)
 
 import kslab.pauli
 from kslab.pauli import (
@@ -421,6 +429,25 @@ class TestSumIdentities:
     def test_rejects_small_n_and_bad_mode(self):
         with pytest.raises(ValueError):
             verify_sum_identities(1)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("x_part, odd", itertools.product((False, True), repeat=2))
+    def test_dense_residual_matches_numpy_reference(self, n, x_part, odd):
+        half = 1 << (n - 1)
+        start = half if x_part else 0
+        words = [lambda_element(LambdaIndex(n, p, odd)) for p in range(start, start + half)]
+        last = words[-1]
+        bumped = PauliString(n, last.z_mask, last.x_mask, (last.phase_exp + 1) % 4)
+        cases = {
+            "true": (words, 0.0),
+            "phase bumped": (words[:-1] + [bumped], abs(1 - 1j)),
+            "word dropped": (words[:-1], 1.0),
+            "word duplicated": (words + [last], 1.0),
+        }
+        for name, (case, expected) in cases.items():
+            plain = kslab.pauli._dense_residual(n, x_part, odd, case)
+            assert type(plain) is float, name
+            assert plain == dense_residual_reference(n, x_part, odd, case) == expected, name
 
     def test_nan_dense_residual_fails(self, monkeypatch):
         monkeypatch.setattr(kslab.pauli, "_dense_residual", lambda *args: float("nan"))

@@ -34,12 +34,6 @@ LIBRARY_ONLY = {
 
 def uncalled() -> set[str]:
     """The ``def`` functions of ``src/kslab`` that the corpus never calls."""
-    # pauli._site_matrix is cached, so it runs only on the calls that miss it
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "kslab":
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
     called = set()
     sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
     try:

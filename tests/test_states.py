@@ -825,18 +825,27 @@ class TestDenseReader:
 
     @given(
         rows=st.lists(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(
-                        ["0.5,0", "0,0", "0,1e-300", "1_0,0", "-0,-0", "1,2,3", ",0", "1,",
-                         "0x10,0", "1;0", "inf,0", "1e400,0", "0.5", "a,b", ",", "nan(1),0",
-                         "0,\uff11", "#,0", '"1",0', "+inf,0", "0.5,+0"]
+            st.one_of(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(
+                            ["0.5,0", "0,0", "0,1e-300", "1_0,0", "-0,-0", "1,2,3", ",0", "1,",
+                             "0x10,0", "1;0", "inf,0", "1e400,0", "0.5", "a,b", ",", "nan(1),0",
+                             "0,\uff11", "#,0", '"1",0', "+inf,0", "0.5,+0"]
+                        ),
+                        st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", " \t"]),
                     ),
-                    st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", " \t"]),
-                ),
-                min_size=1,
-                max_size=3,
-            ).map(lambda pairs: "".join(sep + entry for entry, sep in pairs)),
+                    min_size=1,
+                    max_size=3,
+                ).map(lambda pairs: "".join(sep + entry for entry, sep in pairs)),
+                # two entries that float reads, spaced as written, so that
+                # many examples get as far as comparing values
+                st.lists(
+                    st.sampled_from(["0.5,0", "0,0", "0,1e-300", "1_0,0", "-0,-0", "0.5,+0", "-0.5,-0"]),
+                    min_size=2,
+                    max_size=2,
+                ).map(" ".join),
+            ),
             min_size=2,
             max_size=2,
         )
@@ -844,8 +853,13 @@ class TestDenseReader:
     @settings(deadline=None, max_examples=300)
     def test_generated_rows_match_reference(self, tmp_path_factory, rows):
         # whitespace separators of every kind, and tokens that float and
-        # numpy treat differently, against the entry-by-entry reference
-        assert_reads_like_reference(dense_file(tmp_path_factory.mktemp("rows"), rows))
+        # orjson treat differently, against the entry-by-entry reference.
+        # Few generated rows form a density matrix, so the validation is
+        # switched off for both readers and the values are compared.
+        path = dense_file(tmp_path_factory.mktemp("rows"), rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kslab.states, "_check_density", lambda rho: None)
+            assert_reads_like_reference(path)
 
     @staticmethod
     def rows_read_by_entry(monkeypatch) -> list[int]:
